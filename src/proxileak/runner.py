@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date
 from pathlib import Path
 
@@ -23,7 +23,7 @@ from .geo import EnuPoint, GeoPoint, from_enu, haversine_m, to_enu
 from .mlat import SolverConfig
 from .report import AttackTrace, TraceEvent
 from .service import ProximityService
-from .socialgraph import identification_to_csv, identify
+from .socialgraph import SocialGraph, identification_to_csv, identify
 from .world import (BoundingBox, DisclosurePolicy, SimUser, World,
                     commuter_trajectory, derive_seed, generate_population,
                     random_walk_trajectory, stationary_trajectory)
@@ -257,7 +257,9 @@ def _run_identify(cfg: ScenarioConfig, out: Path) -> RunResult:
     agent = Attacker(service, session, ref=world.ref, trace=trace,
                      advance=world.advance)
     agent.discover(_bbox_cover_radius(world))
-    population = [u for u in world.users.values() if u.user_id != ATTACKER_ID]
+    # Indexed once: only the attacker's likes change during the run.
+    population = SocialGraph(u for u in world.users.values()
+                             if u.user_id != ATTACKER_ID)
     initial_likes = set(world.user(ATTACKER_ID).likes)
     victim_ids = [u.user_id for u in population][:cfg.identify_victims]
     rows, pool_rows, hits = [], [], 0
@@ -298,17 +300,17 @@ def _run_identify(cfg: ScenarioConfig, out: Path) -> RunResult:
 def run_sweep(cfg: ScenarioConfig, param: str, values: list[str],
               out_dir: str | Path | None = None, parallel: int = 1) -> RunResult:
     """Run the scenario once per value, aggregate headline metrics."""
-    from .config import SWEEPABLE_PARAMS, ConfigError, convert_value
+    from .config import SWEEPABLE_PARAMS, ConfigError, _validate, convert_value
 
     if param not in SWEEPABLE_PARAMS:
         raise ConfigError(f"not sweepable (choose from {', '.join(SWEEPABLE_PARAMS)})",
                           field=param)
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     jobs = []
     for v in values:
-        sub = dict_replace(cfg, param, convert_value(param, v))
+        sub = _validate(replace(cfg, **{param: convert_value(param, v)}))
         jobs.append((v, sub, out / f"{param}={v}"))
+    out.mkdir(parents=True, exist_ok=True)
     if parallel > 1:
         import multiprocessing
 
@@ -332,14 +334,6 @@ def run_sweep(cfg: ScenarioConfig, param: str, values: list[str],
         paths += report.write_error_vs_quantum(rows, out)
     agg = {"runs": len(values)}
     return RunResult(out, agg, paths)
-
-
-def dict_replace(cfg: ScenarioConfig, name: str, value) -> ScenarioConfig:
-    import copy
-
-    new = copy.deepcopy(cfg)
-    setattr(new, name, value)
-    return new
 
 
 def _sweep_job(value: str, cfg: ScenarioConfig, out: Path):

@@ -1,26 +1,29 @@
 """Simulated social-platform search and the identification attack.
 
-``forward_search`` finds accounts matching profile attributes;
-``reverse_search`` lists the interests those accounts hold. ``identify``
-runs the refinement loop an attacker can drive from a proximity-app view
-of a victim: start from the disclosed first name, birth-year window and
-common likes, then repeatedly like promising pages, re-poll the victim's
-profile to see which became common, and re-filter the candidate pool with
-the confirmed likes until it collapses to a single account.
+``SocialGraph`` indexes a population once, and every query starts from its
+smallest applicable posting. ``forward_search`` finds accounts matching
+profile attributes; ``reverse_search`` lists the interests those accounts
+hold. ``identify`` runs the refinement loop an attacker can drive from a
+proximity-app view of a victim: start from the disclosed first name,
+birth-year window and common likes, then repeatedly like promising pages,
+re-poll the victim's profile to see which became common, and re-filter the
+candidate pool with the confirmed likes until it collapses to a single
+account.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from datetime import date, timedelta
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .report import AttackTrace, TraceEvent
 from .service import NearbyEntry
 from .world import FUZZ_WINDOW_DAYS, SimUser
 
 __all__ = [
-    "GraphQuery", "CandidatePool", "IdentificationResult",
+    "GraphQuery", "SocialGraph", "CandidatePool", "IdentificationResult",
     "InsufficientSelectorsError", "forward_search", "reverse_search",
     "candidate_birth_years", "identify", "identification_to_csv",
 ]
@@ -52,18 +55,65 @@ def _matches(user: SimUser, q: GraphQuery) -> bool:
     return q.liked_pages <= user.likes
 
 
+class SocialGraph:
+    """Inverted index over a population, built once and queried many times.
+
+    Postings map ``lower(first_name)``, each liked page and each social id
+    to the users holding them; iteration yields the users in input order.
+    The index is a snapshot of the population's names and likes when it is
+    built: later changes to those users' likes are not seen. During an
+    identification run only the attacker's likes change, and the attacker
+    is not part of the indexed population.
+    """
+
+    def __init__(self, population: Iterable[SimUser]):
+        self.users = list(population)
+        self._by_name: dict[str, list[SimUser]] = defaultdict(list)
+        self._by_page: dict[str, list[SimUser]] = defaultdict(list)
+        self.by_social: dict[str, SimUser] = {}
+        for u in self.users:
+            self._by_name[u.first_name.lower()].append(u)
+            for page in u.likes:
+                self._by_page[page].append(u)
+            self.by_social[u.social_id] = u
+
+    @classmethod
+    def of(cls, population: Iterable[SimUser]) -> SocialGraph:
+        """``population`` itself if already indexed, else a new index."""
+        return population if isinstance(population, cls) else cls(population)
+
+    def __iter__(self) -> Iterator[SimUser]:
+        return iter(self.users)
+
+    def matching(self, q: GraphQuery) -> list[SimUser]:
+        """Users matching ``q``, in input order.
+
+        Candidates come from the shortest posting the query's name or pages
+        select (the whole population when it sets neither); each is then
+        checked against every field of the query.
+        """
+        postings = [self._by_page.get(p, ()) for p in q.liked_pages]
+        if q.name is not None:
+            postings.append(self._by_name.get(q.name.lower(), ()))
+        start = min(postings, key=len) if postings else self.users
+        return [u for u in start if _matches(u, q)]
+
+
 def forward_search(population: Iterable[SimUser], q: GraphQuery) -> set[str]:
     """Social ids of every account matching all set fields."""
-    return {u.social_id for u in population if _matches(u, q)}
+    return {u.social_id for u in SocialGraph.of(population).matching(q)}
 
 
 def reverse_search(population: Iterable[SimUser], q: GraphQuery) -> set[str]:
     """Pages liked by matching accounts, minus the query's own pages."""
+    return _liked_by(SocialGraph.of(population).matching(q)) - q.liked_pages
+
+
+def _liked_by(users: Iterable[SimUser]) -> set[str]:
     pages: set[str] = set()
-    for u in population:
-        if _matches(u, q):
-            pages |= u.likes
-    return pages - q.liked_pages
+    for u in users:
+        pages |= u.likes
+    return pages
 
 
 def candidate_birth_years(disclosed: date, fuzzy: bool) -> set[int]:
@@ -91,17 +141,17 @@ class IdentificationResult:
     pools: list[CandidatePool] = field(default_factory=list)
 
 
-def _pool(population: Sequence[SimUser], name: str | None,
-          years: set[int] | None, pages: set[str]) -> set[str]:
+def _pool(graph: SocialGraph, name: str | None, years: set[int] | None,
+          pages: set[str]) -> list[SimUser]:
+    """Users matching the name and pages, born in one of ``years``."""
+    users = graph.matching(GraphQuery(name, None, frozenset(pages)))
     if years is None:
-        return forward_search(population, GraphQuery(name, None, frozenset(pages)))
-    out: set[str] = set()
-    for y in sorted(years):
-        out |= forward_search(population, GraphQuery(name, y, frozenset(pages)))
-    return out
+        return users
+    return [u for u in users if u.true_birthdate.year in years]
 
 
-def identify(victim_view: NearbyEntry, population: Sequence[SimUser],
+def identify(victim_view: NearbyEntry,
+             population: Sequence[SimUser] | SocialGraph,
              max_rounds: int = 10, batch_size: int = 10,
              like_and_refresh: Callable[[set[str]], NearbyEntry] | None = None,
              interests_are_pages: bool = True,
@@ -114,11 +164,12 @@ def identify(victim_view: NearbyEntry, population: Sequence[SimUser],
     interest categories instead of pages) the attack stops at the
     attribute-only pool. The true account is never dropped from the pool as
     long as the disclosed fields are truthful, and pools only ever shrink.
+    Pass a :class:`SocialGraph` to share one index across many victims; a
+    plain sequence is indexed for this call.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
-    population = list(population)
-    users_by_social = {u.social_id: u for u in population}
+    graph = SocialGraph.of(population)
 
     if victim_view.social_id is not None:
         return IdentificationResult(victim_view.social_id, [1], 0, True, False,
@@ -134,7 +185,8 @@ def identify(victim_view: NearbyEntry, population: Sequence[SimUser],
     if victim_view.fuzzy_birthdate is not None:
         years = candidate_birth_years(victim_view.fuzzy_birthdate, birthdate_is_fuzzy)
 
-    pool = _pool(population, name, years, known)
+    matched = _pool(graph, name, years, known)
+    pool = {u.social_id for u in matched}
     pools = [CandidatePool(0, frozenset(pool), frozenset(known))]
     pool_sizes = [len(pool)]
     if trace is not None:
@@ -150,22 +202,16 @@ def identify(victim_view: NearbyEntry, population: Sequence[SimUser],
         if not interests_are_pages or like_and_refresh is None:
             stalled = True
             break
-        candidates: set[str] = set()
-        if years is None:
-            candidates = reverse_search(population,
-                                        GraphQuery(name, None, frozenset(known)))
-        else:
-            for y in sorted(years):
-                candidates |= reverse_search(population,
-                                             GraphQuery(name, y, frozenset(known)))
-        candidates -= tried
+        # The pool was matched against the current ``known``, so the pages
+        # its users like are exactly what reverse search would return.
+        candidates = _liked_by(matched) - known - tried
         if not candidates:
             stalled = True
             break
         # Prefer pages that split the pool most evenly; deterministic ties.
         freq = {p: 0 for p in candidates}
         for sid in pool:
-            for p in users_by_social[sid].likes:
+            for p in graph.by_social[sid].likes:
                 if p in freq:
                     freq[p] += 1
         half = len(pool) / 2.0
@@ -175,9 +221,9 @@ def identify(victim_view: NearbyEntry, population: Sequence[SimUser],
         view = like_and_refresh(batch)
         confirmed = set(view.common_likes or ())  # full intersection, fresh
         known |= confirmed
-        new_pool = _pool(population, name, years, known)
+        matched = _pool(graph, name, years, known)
+        pool = {u.social_id for u in matched}
         rounds_used = rnd
-        pool = new_pool
         pool_sizes.append(len(pool))
         pools.append(CandidatePool(rnd, frozenset(pool), frozenset(known)))
         if trace is not None:

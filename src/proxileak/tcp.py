@@ -12,6 +12,7 @@ connection holds its own session (login binds it).
 from __future__ import annotations
 
 import json
+import math
 import socket
 import socketserver
 import threading
@@ -24,6 +25,16 @@ __all__ = ["entry_to_wire", "WireHandler", "ServiceServer", "ServiceClient"]
 
 def _dump(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _finite_number(value) -> bool:
+    """A JSON number (not a boolean) that is finite as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def entry_to_wire(entry: NearbyEntry) -> dict:
@@ -73,13 +84,13 @@ class WireHandler:
                 return {"ok": False, "error": "auth"}
             if op == "update_location":
                 lat, lon = req.get("lat"), req.get("lon")
-                if not (isinstance(lat, (int, float)) and isinstance(lon, (int, float))):
+                if not (_finite_number(lat) and _finite_number(lon)):
                     return {"ok": False, "error": "bad_request"}
                 self.service.update_location(self.session, GeoPoint(lat, lon))
                 return {"ok": True}
             if op == "nearby":
                 radius = req.get("radius_m")
-                if not isinstance(radius, (int, float)) or radius <= 0:
+                if not _finite_number(radius) or radius <= 0:
                     return {"ok": False, "error": "bad_request"}
                 entries = self.service.nearby(self.session, float(radius))
                 return {"ok": True, "entries": [entry_to_wire(e) for e in entries]}

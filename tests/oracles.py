@@ -3,12 +3,17 @@
 These deliberately avoid the package's own code paths: distances via the
 spherical law of cosines, the solver objective minimized by exhaustive
 grid scan (numpy), and query operations re-done as plain brute-force
-filters.
+filters. ``brute_identify`` is the identification loop as it was before
+the social graph was indexed: every query scans the whole population.
 """
 
 import math
 
 import numpy as np
+
+from proxileak.socialgraph import (CandidatePool, IdentificationResult,
+                                   InsufficientSelectorsError,
+                                   candidate_birth_years)
 
 EARTH_RADIUS_M = 6_371_008.8
 
@@ -94,18 +99,74 @@ def brute_reverse(population, name, birth_year, liked_pages):
     return pages - set(liked_pages)
 
 
-def brute_selector_members(events, selector, haversine):
-    """Event ids satisfying a selector, re-evaluated from scratch."""
+def _brute_pool(population, name, years, pages):
+    if years is None:
+        return brute_forward(population, name, None, pages)
     out = set()
-    for ev in events:
-        if selector.kind == "within_radius":
-            ok = (ev.kind == "location_update"
-                  and selector.t_start <= ev.t <= selector.t_end
-                  and haversine(selector.center, ev.payload) <= selector.radius_m)
-        elif selector.kind == "likes_page":
-            ok = ev.kind == "like" and ev.payload == selector.page_id
-        else:
-            ok = ev.identity_id == selector.identity_id
-        if ok:
-            out.add(ev.event_id)
+    for y in sorted(years):
+        out |= brute_forward(population, name, y, pages)
     return out
+
+
+def brute_identify(victim_view, population, max_rounds=10, batch_size=10,
+                   like_and_refresh=None, interests_are_pages=True,
+                   birthdate_is_fuzzy=True):
+    """``socialgraph.identify`` by full scans (no trace)."""
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be >= 1")
+    population = list(population)
+    users_by_social = {u.social_id: u for u in population}
+
+    if victim_view.social_id is not None:
+        return IdentificationResult(victim_view.social_id, [1], 0, True, False,
+                                    [CandidatePool(0, frozenset([victim_view.social_id]),
+                                                   frozenset())])
+
+    name = victim_view.first_name
+    known = set(victim_view.common_likes or ()) if interests_are_pages else set()
+    if name is None and not known:
+        raise InsufficientSelectorsError(
+            "view has neither a first name nor usable likes")
+    years = None
+    if victim_view.fuzzy_birthdate is not None:
+        years = candidate_birth_years(victim_view.fuzzy_birthdate, birthdate_is_fuzzy)
+
+    pool = _brute_pool(population, name, years, known)
+    pools = [CandidatePool(0, frozenset(pool), frozenset(known))]
+    pool_sizes = [len(pool)]
+    tried = set(known)
+    rounds_used = 0
+    stalled = False
+    for rnd in range(1, max_rounds + 1):
+        if len(pool) <= 1:
+            break
+        if not interests_are_pages or like_and_refresh is None:
+            stalled = True
+            break
+        candidates = set()
+        for y in ([None] if years is None else sorted(years)):
+            candidates |= brute_reverse(population, name, y, known)
+        candidates -= tried
+        if not candidates:
+            stalled = True
+            break
+        freq = {p: 0 for p in candidates}
+        for sid in pool:
+            for p in users_by_social[sid].likes:
+                if p in freq:
+                    freq[p] += 1
+        half = len(pool) / 2.0
+        batch = set(sorted(candidates,
+                           key=lambda p: (abs(freq[p] - half), p))[:batch_size])
+        tried |= batch
+        view = like_and_refresh(batch)
+        known |= set(view.common_likes or ())
+        pool = _brute_pool(population, name, years, known)
+        rounds_used = rnd
+        pool_sizes.append(len(pool))
+        pools.append(CandidatePool(rnd, frozenset(pool), frozenset(known)))
+
+    identified = len(pool) == 1
+    social_id = next(iter(pool)) if identified else None
+    return IdentificationResult(social_id, pool_sizes, rounds_used, identified,
+                                stalled, pools)

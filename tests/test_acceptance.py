@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS line per
 criterion. Artifacts that the criteria require published (the runtime grid)
-land in ``out/acceptance/``.
+are written to the test's temporary directory, named in its PASS line.
 """
 
 import math
@@ -11,7 +11,6 @@ import statistics
 import threading
 import time
 from datetime import date
-from pathlib import Path
 
 import pytest
 
@@ -19,17 +18,15 @@ from oracles import grid_search_min
 from proxileak import mlat, report
 from proxileak.attacker import Attacker, ProbePlan, extract_pois
 from proxileak.geo import EnuPoint, GeoPoint, from_enu, to_enu
-from proxileak.hypergraph import Hypergraph
 from proxileak.mlat import DistanceSample, SolverConfig, multilaterate
 from proxileak.service import ProximityService
-from proxileak.socialgraph import identify
+from proxileak.socialgraph import SocialGraph, identify
 from proxileak.tcp import ServiceClient, ServiceServer
 from proxileak.world import (DisclosurePolicy, SimUser, commuter_trajectory,
                              derive_seed, generate_population,
                              quantize_distance, stationary_trajectory)
 
 REF = GeoPoint(41.3851, 2.1734)
-OUT = Path(__file__).resolve().parent.parent / "out" / "acceptance"
 
 ATTACKER = "attacker"
 TARGET = "u00000"
@@ -159,7 +156,7 @@ def test_mitigation_monotonicity():
 
 # 5 ---------------------------------------------------------------------------
 
-def test_runtime_grid_fig1():
+def test_runtime_grid_fig1(tmp_path):
     """Timing grid over samples x iterations: at fixed iterations the cost
     grows at most linearly in sample count; at fixed samples it grows at
     least 5x from 10 to 1000 iterations. Grid published as CSV + SVG."""
@@ -175,7 +172,7 @@ def test_runtime_grid_fig1():
     for n in counts:
         growth = cell[(n, 1000)] / cell[(n, 10)]
         assert growth >= 5.0, f"iteration scaling only {growth:.1f}x at n={n}"
-    paths = report.write_runtime_grid(rows, OUT)
+    paths = report.write_runtime_grid(rows, tmp_path)
     assert all(p.exists() for p in paths)
     ok("runtime-grid-fig1",
        f"linear-in-samples and >=5x-in-iterations hold; grid at {paths[0]}")
@@ -197,6 +194,7 @@ def test_graph_search_refinement():
         session = svc.login(ATTACKER)
         svc.nearby(session, 1e9)
         population = [u for u in world.users.values() if u.user_id != ATTACKER]
+        graph = SocialGraph(population)
         for u in population[:200]:
             vid = u.user_id
             world.users[ATTACKER].likes = set(initial)
@@ -206,7 +204,7 @@ def test_graph_search_refinement():
                 world.add_likes(ATTACKER, pages)
                 return svc.profile(session, _vid)
 
-            res = identify(view, population, like_and_refresh=refresh)
+            res = identify(view, graph, like_and_refresh=refresh)
             runs += 1
             truth_sid = world.user(vid).social_id
             sound += all(truth_sid in p.candidates for p in res.pools)
@@ -248,7 +246,7 @@ def test_category_mitigation():
     """Identification rate with category-level interests is strictly below
     page-level interests on at least 45 of 50 paired seeds."""
 
-    def rate(world, population, initial, mode, victims):
+    def rate(world, graph, initial, mode, victims):
         svc = ProximityService(world, DisclosurePolicy(interests_mode=mode))
         session = svc.login(ATTACKER)
         svc.nearby(session, 1e9)
@@ -261,7 +259,7 @@ def test_category_mitigation():
                 world.add_likes(ATTACKER, pages)
                 return svc.profile(session, _vid)
 
-            res = identify(view, population, like_and_refresh=refresh,
+            res = identify(view, graph, like_and_refresh=refresh,
                            interests_are_pages=(mode == "pages"))
             hits += int(res.identified
                         and res.social_id == world.user(u.user_id).social_id)
@@ -278,76 +276,15 @@ def test_category_mitigation():
         population = [u for u in world.users.values() if u.user_id != ATTACKER]
         initial = set(world.users[ATTACKER].likes)
         victims = population[:12]
-        pages_hits = rate(world, population, initial, "pages", victims)
-        cat_hits = rate(world, population, initial, "categories", victims)
+        graph = SocialGraph(population)
+        pages_hits = rate(world, graph, initial, "pages", victims)
+        cat_hits = rate(world, graph, initial, "categories", victims)
         strict += int(cat_hits < pages_hits)
     assert strict >= 45, f"strictly lower on only {strict}/50 seeds"
     ok("category-mitigation", f"strictly lower on {strict}/50 paired seeds")
 
 
 # 9 ---------------------------------------------------------------------------
-
-def test_hypergraph_brute_force_equivalence():
-    """Selector queries equal brute-force filters on random populations of
-    at most 200 users, over 1000 query cases."""
-    from proxileak.hypergraph import EventNode, Selector
-    cases = 0
-    case_seed = 0
-    while cases < 1000:
-        case_seed += 1
-        rng = random.Random(derive_seed(case_seed, "hg"))
-        n_users = rng.randrange(2, 201)
-        world = generate_population(n_users, 40, 1.0, seed=case_seed,
-                                    mean_likes=2.0)
-        center = world.bbox.center
-        g = Hypergraph()
-        selectors = [
-            Selector.within_radius("near", center, 500.0, 0.0, 1e6),
-            Selector.likes_page("pg", rng.choice(world.catalog.pages).page_id),
-            Selector.identity("me", f"u{rng.randrange(n_users):05d}"),
-        ]
-        for s in selectors:
-            g.define_selector(s)
-        events = []
-        eid = 0
-        for u in world.users.values():
-            pos = u.trajectory.position_at(0.0)
-            events.append(EventNode(f"e{eid}", u.user_id, "location_update",
-                                    pos, rng.uniform(0, 1000)))
-            eid += 1
-            for page in sorted(u.likes):
-                events.append(EventNode(f"e{eid}", u.user_id, "like", page,
-                                        rng.uniform(0, 1000)))
-                eid += 1
-        for ev in events:
-            g.ingest(ev)
-
-        def brute_identities(sel):
-            out = set()
-            for ev in events:
-                if sel.matches(ev):
-                    out.add(ev.identity_id)
-            return out
-
-        by_id = {s.selector_id: s for s in selectors}
-        for _ in range(10):
-            chosen = rng.sample(list(by_id), rng.randrange(1, 4))
-            combine = rng.choice(["and", "or"])
-            got = g.query(chosen, combine)
-            sets = [brute_identities(by_id[sid]) for sid in chosen]
-            want = sets[0]
-            for s in sets[1:]:
-                want = (want & s) if combine == "and" else (want | s)
-            assert got == want
-            cases += 1
-        # definitional invariant after the mutations
-        node_ids = set(g.nodes)
-        for members in g.edges.values():
-            assert members and members <= node_ids
-    ok("hypergraph-brute-force", f"{cases} query cases, all equal brute force")
-
-
-# 10 --------------------------------------------------------------------------
 
 def test_poi_extraction_commuter():
     """Commuter with two 8 h dwells 5 km apart, hourly fixes at quantum
@@ -386,7 +323,7 @@ def test_poi_extraction_commuter():
     ok("poi-extraction", f"{good}/100 seeds: exactly 2 POIs within 200 m")
 
 
-# 11 --------------------------------------------------------------------------
+# 10 --------------------------------------------------------------------------
 
 def test_protocol_differential_and_policy_soundness():
     """10^3 random request sequences produce identical results over TCP and

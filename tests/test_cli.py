@@ -156,6 +156,16 @@ def test_sweep_unknown_param(tmp_path):
                  "--values", "1,2"]) == EXIT_CONFIG
 
 
+def test_sweep_out_of_range_value_is_config_error(tmp_path, capsys):
+    # Sweep values pass the same range checks as --set, before any run starts.
+    out = tmp_path / "sweep"
+    assert main(["sweep", str(ROOT / "scenarios" / "localize_bcn.cfg"),
+                 "--param", "probe_count", "--values", "8,2",
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert "probe_count" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_parallel_matches_sequential(tmp_path):
     cfg = write_cfg(tmp_path, FAST_LOCALIZE)
     seq, par = tmp_path / "seq", tmp_path / "par"

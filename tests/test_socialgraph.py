@@ -1,17 +1,19 @@
-import random
-from datetime import date
+from dataclasses import replace
+from datetime import date, timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_forward, brute_reverse
+from oracles import brute_forward, brute_identify, brute_reverse
 from proxileak.service import NearbyEntry, ProximityService
 from proxileak.socialgraph import (GraphQuery, IdentificationResult,
-                                   InsufficientSelectorsError,
+                                   InsufficientSelectorsError, SocialGraph,
                                    candidate_birth_years, forward_search,
                                    identification_to_csv, identify,
                                    reverse_search)
-from proxileak.world import (DisclosurePolicy, SimUser, generate_population,
-                             stationary_trajectory)
+from proxileak.world import (FUZZ_WINDOW_DAYS, DisclosurePolicy, SimUser,
+                             generate_population, stationary_trajectory)
 from proxileak.geo import GeoPoint
 
 
@@ -181,6 +183,81 @@ def test_categories_mode_weaker_than_pages():
             truth_sid = world.user(vid).social_id
             hits[mode] += int(res.identified and res.social_id == truth_sid)
     assert hits["categories"] < hits["pages"]
+
+
+# Few names (differing only in case, too), birthdates near a year boundary
+# so a fuzzy date spans two years, and a small page catalog: pools stay
+# large enough that refinement runs several rounds.
+NAMES = ["Ann", "ann", "ANN", "Bob", "Cy"]
+PAGES = [f"p{i}" for i in range(8)]
+TRAJ = stationary_trajectory(GeoPoint(41.4, 2.15), 1e6)
+MOSTLY = st.sampled_from([True, True, True, False])
+
+
+@st.composite
+def identification_cases(draw):
+    users = [SimUser(f"u{i}", draw(st.sampled_from(NAMES)),
+                     draw(st.dates(date(1979, 12, 1), date(1981, 1, 31))), TRAJ,
+                     set(draw(st.frozensets(st.sampled_from(PAGES), max_size=5))),
+                     f"s{i}")
+             for i in range(draw(st.integers(1, 30)))]
+    victim = draw(st.sampled_from(users))
+    birthdate = draw(st.sampled_from(["exact", "fuzzy", "hidden"]))
+    shown = {"exact": victim.true_birthdate,
+             "fuzzy": victim.true_birthdate + timedelta(days=draw(
+                 st.integers(-FUZZ_WINDOW_DAYS, FUZZ_WINDOW_DAYS))),
+             "hidden": None}[birthdate]
+    attacker_likes = set(draw(st.frozensets(st.sampled_from(PAGES))))
+    view = NearbyEntry(user_id=victim.user_id, last_active_t=0.0,
+                       first_name=victim.first_name if draw(MOSTLY) else None,
+                       distance_m=None, fuzzy_birthdate=shown,
+                       common_likes=frozenset(attacker_likes & victim.likes),
+                       social_id=None)
+    kwargs = dict(max_rounds=draw(st.integers(1, 5)),
+                  batch_size=draw(st.integers(1, 4)),
+                  interests_are_pages=draw(MOSTLY),
+                  birthdate_is_fuzzy=(birthdate == "fuzzy"))
+    return users, victim, view, attacker_likes, draw(MOSTLY), kwargs
+
+
+def _run_identification(fn, population, victim, view, attacker_likes,
+                        refresh, kwargs):
+    likes, batches = set(attacker_likes), []
+
+    def like_and_refresh(pages):
+        batches.append(set(pages))
+        likes.update(pages)
+        return replace(view, common_likes=frozenset(likes & victim.likes))
+
+    try:
+        res = fn(view, population,
+                 like_and_refresh=like_and_refresh if refresh else None, **kwargs)
+    except InsufficientSelectorsError:
+        return None, batches
+    return res, batches
+
+
+@settings(max_examples=300, deadline=None)
+@given(identification_cases())
+def test_identify_equals_brute_force_loop(case):
+    users, victim, view, attacker_likes, refresh, kwargs = case
+    graph = SocialGraph(users)
+    assert list(graph) == users
+    got, got_batches = _run_identification(identify, graph, victim, view,
+                                           attacker_likes, refresh, kwargs)
+    want, want_batches = _run_identification(brute_identify, users, victim,
+                                              view, attacker_likes, refresh,
+                                              kwargs)
+    assert got_batches == want_batches
+    if want is None:
+        assert got is None
+        return
+    assert got.pools == want.pools
+    assert got.pool_sizes == want.pool_sizes
+    assert got.rounds_used == want.rounds_used
+    assert got.identified == want.identified
+    assert got.stalled == want.stalled
+    assert got.social_id == want.social_id
 
 
 def test_identification_csv(tmp_path):

@@ -183,3 +183,27 @@ def test_handler_without_network():
     h = WireHandler(svc)
     assert h.handle_line("{") == {"ok": False, "error": "bad_request"}
     assert h.handle_line(json.dumps({"op": "nearby", "radius_m": 5}))["error"] == "auth"
+
+
+@pytest.mark.parametrize("line", [
+    '{"op": "nearby", "radius_m": NaN}',
+    '{"op": "nearby", "radius_m": Infinity}',
+    '{"op": "nearby", "radius_m": true}',
+    '{"op": "nearby", "radius_m": 1' + "0" * 400 + '}',
+    '{"op": "update_location", "lat": true, "lon": 2.15}',
+    '{"op": "update_location", "lat": 41.4, "lon": false}',
+    '{"op": "update_location", "lat": 41.4, "lon": Infinity}',
+    '{"op": "update_location", "lat": -Infinity, "lon": 2.15}',
+    '{"op": "update_location", "lat": NaN, "lon": 2.15}',
+    '{"op": "update_location", "lat": 41.4, "lon": 1' + "0" * 400 + '}',
+], ids=["radius-nan", "radius-inf", "radius-bool", "radius-huge-int",
+        "lat-bool", "lon-bool", "lon-inf", "lat-neg-inf", "lat-nan",
+        "lon-huge-int"])
+def test_non_finite_and_boolean_numbers_rejected(line):
+    world, svc = make_service()
+    h = WireHandler(svc)
+    uid = sorted(world.users)[0]
+    assert h.handle_line(json.dumps({"op": "login", "token": uid}))["ok"] is True
+    before = world.position_of(uid)
+    assert h.handle_line(line) == {"ok": False, "error": "bad_request"}
+    assert world.position_of(uid) == before
