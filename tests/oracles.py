@@ -99,6 +99,23 @@ def brute_reverse(population, name, birth_year, liked_pages):
     return pages - set(liked_pages)
 
 
+def brute_selector_members(events, selector, haversine):
+    """Event ids satisfying a selector, re-evaluated from scratch."""
+    out = set()
+    for ev in events:
+        if selector.kind == "within_radius":
+            ok = (ev.kind == "location_update"
+                  and selector.t_start <= ev.t <= selector.t_end
+                  and haversine(selector.center, ev.payload) <= selector.radius_m)
+        elif selector.kind == "likes_page":
+            ok = ev.kind == "like" and ev.payload == selector.page_id
+        else:
+            ok = ev.identity_id == selector.identity_id
+        if ok:
+            out.add(ev.event_id)
+    return out
+
+
 def _brute_pool(population, name, years, pages):
     if years is None:
         return brute_forward(population, name, None, pages)

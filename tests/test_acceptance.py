@@ -18,6 +18,7 @@ from oracles import grid_search_min
 from proxileak import mlat, report
 from proxileak.attacker import Attacker, ProbePlan, extract_pois
 from proxileak.geo import EnuPoint, GeoPoint, from_enu, to_enu
+from proxileak.hypergraph import Hypergraph
 from proxileak.mlat import DistanceSample, SolverConfig, multilaterate
 from proxileak.service import ProximityService
 from proxileak.socialgraph import SocialGraph, identify
@@ -286,6 +287,68 @@ def test_category_mitigation():
 
 # 9 ---------------------------------------------------------------------------
 
+def test_hypergraph_brute_force_equivalence():
+    """Selector queries equal brute-force filters on random populations of
+    at most 200 users, over 1000 query cases."""
+    from proxileak.hypergraph import EventNode, Selector
+    cases = 0
+    case_seed = 0
+    while cases < 1000:
+        case_seed += 1
+        rng = random.Random(derive_seed(case_seed, "hg"))
+        n_users = rng.randrange(2, 201)
+        world = generate_population(n_users, 40, 1.0, seed=case_seed,
+                                    mean_likes=2.0)
+        center = world.bbox.center
+        g = Hypergraph()
+        selectors = [
+            Selector.within_radius("near", center, 500.0, 0.0, 1e6),
+            Selector.likes_page("pg", rng.choice(world.catalog.pages).page_id),
+            Selector.identity("me", f"u{rng.randrange(n_users):05d}"),
+        ]
+        for s in selectors:
+            g.define_selector(s)
+        events = []
+        eid = 0
+        for u in world.users.values():
+            pos = u.trajectory.position_at(0.0)
+            events.append(EventNode(f"e{eid}", u.user_id, "location_update",
+                                    pos, rng.uniform(0, 1000)))
+            eid += 1
+            for page in sorted(u.likes):
+                events.append(EventNode(f"e{eid}", u.user_id, "like", page,
+                                        rng.uniform(0, 1000)))
+                eid += 1
+        for ev in events:
+            g.ingest(ev)
+
+        def brute_identities(sel):
+            out = set()
+            for ev in events:
+                if sel.matches(ev):
+                    out.add(ev.identity_id)
+            return out
+
+        by_id = {s.selector_id: s for s in selectors}
+        for _ in range(10):
+            chosen = rng.sample(list(by_id), rng.randrange(1, 4))
+            combine = rng.choice(["and", "or"])
+            got = g.query(chosen, combine)
+            sets = [brute_identities(by_id[sid]) for sid in chosen]
+            want = sets[0]
+            for s in sets[1:]:
+                want = (want & s) if combine == "and" else (want | s)
+            assert got == want
+            cases += 1
+        # definitional invariant after the mutations
+        node_ids = set(g.nodes)
+        for members in g.edges.values():
+            assert members and members <= node_ids
+    ok("hypergraph-brute-force", f"{cases} query cases, all equal brute force")
+
+
+# 10 --------------------------------------------------------------------------
+
 def test_poi_extraction_commuter():
     """Commuter with two 8 h dwells 5 km apart, hourly fixes at quantum
     100 m: exactly two POIs, each within 200 m of truth, on >= 95/100 seeds."""
@@ -323,7 +386,7 @@ def test_poi_extraction_commuter():
     ok("poi-extraction", f"{good}/100 seeds: exactly 2 POIs within 200 m")
 
 
-# 10 --------------------------------------------------------------------------
+# 11 --------------------------------------------------------------------------
 
 def test_protocol_differential_and_policy_soundness():
     """10^3 random request sequences produce identical results over TCP and
