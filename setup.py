@@ -1,28 +1,18 @@
-"""Build shim: compiles the optional solver extension when Cython and a C
-compiler are available, and degrades to the pure-Python kernels otherwise."""
+"""Build shim: compiles the optional solver extension when a C compiler is
+available, and degrades to the pure-Python kernels otherwise."""
 
 import sys
 
-from setuptools import setup
+from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
 
-
-def _extensions():
-    try:
-        from Cython.Build import cythonize
-        from setuptools import Extension
-    except ImportError:
-        print("proxileak: Cython not available, building without the compiled "
-              "solver core (pure-Python kernels will be used)", file=sys.stderr)
-        return []
-    ext = Extension(
-        "proxileak.mlat._kernels",
-        ["src/proxileak/mlat/_kernels.pyx"],
-        # -ffp-contract=off keeps the C arithmetic bit-identical to the
-        # pure-Python kernels (no FMA fusion in the residual evaluation).
-        extra_compile_args=["-O3", "-ffp-contract=off"],
-    )
-    return cythonize([ext], language_level="3")
+KERNELS = Extension(
+    "proxileak.mlat._kernels",
+    ["src/proxileak/mlat/_kernels.c"],
+    # -ffp-contract=off keeps the C arithmetic bit-identical to the
+    # pure-Python kernels (no FMA fusion in the residual evaluation).
+    extra_compile_args=["-O3", "-ffp-contract=off"],
+)
 
 
 class optional_build_ext(build_ext):
@@ -43,4 +33,4 @@ class optional_build_ext(build_ext):
                   "falling back to pure-Python kernels", file=sys.stderr)
 
 
-setup(ext_modules=_extensions(), cmdclass={"build_ext": optional_build_ext})
+setup(ext_modules=[KERNELS], cmdclass={"build_ext": optional_build_ext})

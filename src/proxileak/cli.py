@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, parse_scenario
-from .runner import build_policy, build_world, run_scenario, run_sweep
+from .runner import build_service, run_scenario, run_sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -67,17 +67,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from .service import ProximityService
     from .tcp import ServiceServer
 
     cfg, _ = _load(args)
-    world = build_world(cfg)
-    service = ProximityService(world, build_policy(cfg),
-                               teleport_limit_m=cfg.teleport_limit_m,
-                               teleport_cooldown_s=cfg.teleport_cooldown_s,
-                               scenario_seed=cfg.seed)
     try:
-        server = ServiceServer(service, port=args.port)
+        server = ServiceServer(build_service(cfg, cfg.seed), port=args.port)
     except OSError as exc:
         print(f"bind failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

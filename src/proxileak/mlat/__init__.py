@@ -7,8 +7,9 @@ as an option — with a derivative-free compass search started at the
 observer centroid. It is fully deterministic for a fixed (samples, config)
 pair, including the seeded jitter applied to the initial guess.
 
-The inner loops live in a compiled extension when available and in a
-bit-identical pure-Python fallback otherwise; see ``_backend``.
+The inner loops live in the C extension ``_kernels.c`` when it is built
+and in its bit-identical pure-Python twin ``_kernels_py`` otherwise; see
+``_backend``.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Pure-Python solver kernels.
 
-This module and ``_kernels.pyx`` implement the same two functions
-operation-for-operation so that both backends return bit-identical floats
-(the compiled module is built with -ffp-contract=off for the same reason).
-Keep them in sync when touching either.
+This module and the C extension ``_kernels.c`` implement the same two
+functions operation-for-operation so that both backends return bit-identical
+floats (the compiled module is built with -ffp-contract=off for the same
+reason). Keep them in sync when touching either.
 
 ``norm_code``: 0 = mean absolute residual, 1 = mean squared residual.
 """

@@ -28,8 +28,8 @@ from .world import (BoundingBox, DisclosurePolicy, SimUser, World,
                     commuter_trajectory, derive_seed, generate_population,
                     random_walk_trajectory, stationary_trajectory)
 
-__all__ = ["RunResult", "build_policy", "build_world", "run_scenario",
-           "run_sweep"]
+__all__ = ["RunResult", "build_policy", "build_service", "build_world",
+           "run_scenario", "run_sweep"]
 
 ATTACKER_ID = "attacker"
 TARGET_ID = "u00000"
@@ -98,6 +98,14 @@ def build_world(cfg: ScenarioConfig, seed: int | None = None) -> World:
     return world
 
 
+def build_service(cfg: ScenarioConfig, seed: int) -> ProximityService:
+    """The service over a fresh ``build_world(cfg, seed)``, under cfg's policy."""
+    return ProximityService(build_world(cfg, seed), build_policy(cfg),
+                            teleport_limit_m=cfg.teleport_limit_m,
+                            teleport_cooldown_s=cfg.teleport_cooldown_s,
+                            scenario_seed=seed)
+
+
 def _bbox_cover_radius(world: World) -> float:
     corner = GeoPoint(world.bbox.lat_min, world.bbox.lon_min)
     other = GeoPoint(world.bbox.lat_max, world.bbox.lon_max)
@@ -126,6 +134,11 @@ def _coarse_prior(truth: GeoPoint, offset_m: float, seed: int) -> GeoPoint:
     ang = rng.uniform(0.0, 2.0 * math.pi)
     return from_enu(EnuPoint(offset_m * math.cos(ang),
                              offset_m * math.sin(ang), truth))
+
+
+def _log_export(trace: AttackTrace, artifact: str) -> None:
+    t = trace.events[-1].t if trace.events else 0.0
+    trace.append(TraceEvent("export", t, None, {"artifact": artifact}))
 
 
 def _write_summary(metrics: dict[str, float], out_dir: Path) -> Path:
@@ -160,11 +173,8 @@ def _run_localize(cfg: ScenarioConfig, out: Path) -> RunResult:
     trace = AttackTrace()
     for trial in range(cfg.trials):
         tseed = derive_seed(cfg.seed, "trial", trial)
-        world = build_world(cfg, seed=tseed)
-        service = ProximityService(world, build_policy(cfg),
-                                   teleport_limit_m=cfg.teleport_limit_m,
-                                   teleport_cooldown_s=cfg.teleport_cooldown_s,
-                                   scenario_seed=tseed)
+        service = build_service(cfg, tseed)
+        world = service.world
         session = service.login(ATTACKER_ID)
         truth = world.true_position_of(TARGET_ID)
         prior = _coarse_prior(truth, cfg.probe_center_offset_m, tseed)
@@ -189,8 +199,7 @@ def _run_localize(cfg: ScenarioConfig, out: Path) -> RunResult:
     (out / "localize_trials.csv").write_text("\n".join(lines) + "\n",
                                              encoding="utf-8", newline="\n")
     errors = [r[2] for r in rows]
-    trace.append(TraceEvent("export", trace.events[-1].t if trace.events else 0.0,
-                            None, {"artifact": "localize_trials.csv"}))
+    _log_export(trace, "localize_trials.csv")
     paths = report.emit(out, probe_map=(first_samples, first_estimate,
                                         first_truth_xy),
                         violations=report.classify(trace))
@@ -204,11 +213,8 @@ def _run_localize(cfg: ScenarioConfig, out: Path) -> RunResult:
 
 
 def _run_track(cfg: ScenarioConfig, out: Path) -> RunResult:
-    world = build_world(cfg)
-    service = ProximityService(world, build_policy(cfg),
-                               teleport_limit_m=cfg.teleport_limit_m,
-                               teleport_cooldown_s=cfg.teleport_cooldown_s,
-                               scenario_seed=cfg.seed)
+    service = build_service(cfg, cfg.seed)
+    world = service.world
     session = service.login(ATTACKER_ID)
     trace = AttackTrace()
     truth0 = world.true_position_of(TARGET_ID)
@@ -228,8 +234,7 @@ def _run_track(cfg: ScenarioConfig, out: Path) -> RunResult:
                      f"{p.t_start!r},{p.t_end!r},{p.n_fixes}")
     (out / "pois.csv").write_text("\n".join(lines) + "\n", encoding="utf-8",
                                   newline="\n")
-    trace.append(TraceEvent("export", trace.events[-1].t if trace.events else 0.0,
-                            None, {"artifact": "track.csv"}))
+    _log_export(trace, "track.csv")
     paths = report.emit(out, violations=report.classify(trace))
     metrics = {
         "n_fixes": len(record.estimates),
@@ -247,11 +252,8 @@ def _run_track(cfg: ScenarioConfig, out: Path) -> RunResult:
 
 
 def _run_identify(cfg: ScenarioConfig, out: Path) -> RunResult:
-    world = build_world(cfg)
-    service = ProximityService(world, build_policy(cfg),
-                               teleport_limit_m=cfg.teleport_limit_m,
-                               teleport_cooldown_s=cfg.teleport_cooldown_s,
-                               scenario_seed=cfg.seed)
+    service = build_service(cfg, cfg.seed)
+    world = service.world
     session = service.login(ATTACKER_ID)
     trace = AttackTrace()
     agent = Attacker(service, session, ref=world.ref, trace=trace,
@@ -284,8 +286,7 @@ def _run_identify(cfg: ScenarioConfig, out: Path) -> RunResult:
         hits += int(res.identified and res.social_id == world.user(vid).social_id)
     with open(out / "identification.csv", "w", encoding="utf-8", newline="\n") as fp:
         identification_to_csv(rows, fp)
-    trace.append(TraceEvent("export", trace.events[-1].t if trace.events else 0.0,
-                            None, {"artifact": "identification.csv"}))
+    _log_export(trace, "identification.csv")
     paths = report.emit(out, pool_rows=pool_rows,
                         violations=report.classify(trace))
     metrics = {

@@ -5,8 +5,10 @@ carry ``op`` plus op-specific fields (``token``, ``radius_m``, ``lat``,
 ``lon``, ``user_id``); unknown fields are ignored. Responses are either
 ``{"ok": true, ...payload}`` or ``{"ok": false, "error": code}`` with code
 one of ``auth``, ``not_found``, ``rate``, ``bad_request``. A malformed line
-yields one ``bad_request`` response and the connection stays open. Each
-connection holds its own session (login binds it).
+yields one ``bad_request`` response and the connection stays open. A line
+longer than ``MAX_LINE_BYTES`` (newline included) yields one ``bad_request``
+and the server closes the connection. Each connection holds its own session
+(login binds it).
 """
 
 from __future__ import annotations
@@ -21,6 +23,10 @@ from .geo import CoordinateError, GeoPoint
 from .service import AuthError, NearbyEntry, NotFoundError, ProximityService, RateError
 
 __all__ = ["entry_to_wire", "WireHandler", "ServiceServer", "ServiceClient"]
+
+# Longest request line the server reads, newline included; this bounds what
+# one client can make a connection thread hold.
+MAX_LINE_BYTES = 64 * 1024
 
 
 def _dump(obj: dict) -> str:
@@ -64,7 +70,9 @@ class WireHandler:
     def handle_line(self, line: str) -> dict:
         try:
             req = json.loads(line)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):
+            # Not JSON, an integer beyond the interpreter's digit limit, or
+            # nesting deeper than the parser's recursion limit.
             return {"ok": False, "error": "bad_request"}
         if not isinstance(req, dict):
             return {"ok": False, "error": "bad_request"}
@@ -114,13 +122,17 @@ class WireHandler:
 class _ConnectionHandler(socketserver.StreamRequestHandler):
     def handle(self):
         handler = WireHandler(self.server.service, self.server.world_lock)
-        for raw in self.rfile:
+        while raw := self.rfile.readline(MAX_LINE_BYTES + 1):
+            if len(raw) > MAX_LINE_BYTES:
+                self._send({"ok": False, "error": "bad_request"})
+                return
             line = raw.decode("utf-8", errors="replace").strip()
-            if not line:
-                continue
-            resp = handler.handle_line(line)
-            self.wfile.write((_dump(resp) + "\n").encode("utf-8"))
-            self.wfile.flush()
+            if line:
+                self._send(handler.handle_line(line))
+
+    def _send(self, resp: dict) -> None:
+        self.wfile.write((_dump(resp) + "\n").encode("utf-8"))
+        self.wfile.flush()
 
 
 class ServiceServer(socketserver.ThreadingTCPServer):

@@ -5,11 +5,14 @@ import random
 import threading
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from proxileak.geo import GeoPoint
 from proxileak.service import (AuthError, NotFoundError, ProximityService,
                                RateError)
-from proxileak.tcp import ServiceClient, ServiceServer, WireHandler, entry_to_wire
+from proxileak.tcp import (MAX_LINE_BYTES, ServiceClient, ServiceServer,
+                           WireHandler, _dump, entry_to_wire)
 from proxileak.world import DisclosurePolicy, generate_population
 
 
@@ -46,8 +49,10 @@ def test_login_nearby_round_trip(server):
 def test_malformed_line_keeps_connection(server):
     uid = sorted(server.service.world.users)[0]
     with ServiceClient("127.0.0.1", server.port) as c:
-        c.send_raw("this is not json")
-        assert c.read_response() == {"ok": False, "error": "bad_request"}
+        # Deep nesting used to kill the connection thread without a response.
+        for line in ("this is not json", "[" * 50000):
+            c.send_raw(line)
+            assert c.read_response() == {"ok": False, "error": "bad_request"}
         # connection still usable
         assert c.login(uid)["ok"] is True
 
@@ -207,3 +212,71 @@ def test_non_finite_and_boolean_numbers_rejected(line):
     before = world.position_of(uid)
     assert h.handle_line(line) == {"ok": False, "error": "bad_request"}
     assert world.position_of(uid) == before
+
+
+@pytest.mark.parametrize("line", [
+    "[" * 100000,
+    '{"op": "nearby", "radius_m": ' + "[" * 5000 + "1" + "]" * 5000 + "}",
+    '{"op": "nearby", "radius_m": 1' + "0" * 5000 + "}",
+], ids=["deep-list", "deep-field", "int-over-digit-limit"])
+def test_undecodable_json_is_bad_request(line):
+    # These used to raise RecursionError / ValueError out of handle_line.
+    world, svc = make_service()
+    h = WireHandler(svc)
+    assert h.handle_line(line) == {"ok": False, "error": "bad_request"}
+    uid = sorted(world.users)[0]
+    assert h.handle_line(json.dumps({"op": "login", "token": uid}))["ok"] is True
+
+
+def test_overlong_line_refused_and_connection_closed(server):
+    uid = sorted(server.service.world.users)[0]
+    login = _dump({"op": "login", "token": uid})
+    with ServiceClient("127.0.0.1", server.port) as c:
+        # Exactly MAX_LINE_BYTES with the newline: still served.
+        c.send_raw(login.ljust(MAX_LINE_BYTES - 1))
+        assert c.read_response() == {"ok": True, "user_id": uid}
+        c.send_raw(login.ljust(2 * MAX_LINE_BYTES))
+        assert c.read_response() == {"ok": False, "error": "bad_request"}
+        with pytest.raises(ConnectionError):
+            c.read_response()
+    with ServiceClient("127.0.0.1", server.port) as c:
+        assert c.login(uid) == {"ok": True, "user_id": uid}
+
+
+# -- fuzz: every line gets exactly one well-formed response ---------------------
+
+ERROR_CODES = {"auth", "not_found", "rate", "bad_request"}
+FUZZ_IDS = sorted(make_service()[0].users)
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=4)),
+    max_leaves=16)
+requests = st.fixed_dictionaries({}, optional={
+    "op": st.sampled_from(["login", "nearby", "update_location", "profile", "nope"])
+          | json_values,
+    "token": st.sampled_from(FUZZ_IDS + ["ghost"]) | json_values,
+    "user_id": st.sampled_from(FUZZ_IDS + ["ghost"]) | json_values,
+    "radius_m": st.floats(-10.0, 1e7) | json_values,
+    "lat": st.floats(-100.0, 100.0) | json_values,
+    "lon": st.floats(-200.0, 200.0) | json_values,
+})
+lines = (requests.map(json.dumps)
+         | json_values.map(json.dumps)
+         | st.integers(1, 3000).map(lambda depth: "[" * depth)
+         | st.text())
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(lines, min_size=1, max_size=6))
+def test_fuzz_handle_line_always_answers_well_formed(batch):
+    _, svc = make_service()
+    h = WireHandler(svc)
+    for line in batch:
+        resp = h.handle_line(line)
+        assert type(resp) is dict and type(resp["ok"]) is bool
+        if not resp["ok"]:
+            assert resp.keys() == {"ok", "error"} and resp["error"] in ERROR_CODES
+        assert json.loads(_dump(resp)) == resp
