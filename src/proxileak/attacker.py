@@ -23,8 +23,10 @@ from .service import ProximityService, Session
 
 __all__ = [
     "ProbePlan", "TrackRecord", "Poi", "PolicyBlockedError", "Attacker",
-    "extract_pois", "track_to_csv",
+    "extract_pois", "track_to_csv", "PROBE_STRATEGIES",
 ]
+
+PROBE_STRATEGIES = ("ring", "adaptive", "fixed_points")
 
 TRACK_CSV_HEADER = "t_s,est_x_m,est_y_m,residual_m"
 
@@ -52,7 +54,7 @@ class ProbePlan:
     adaptive_rounds: int = 2
 
     def __post_init__(self) -> None:
-        if self.strategy not in ("ring", "adaptive", "fixed_points"):
+        if self.strategy not in PROBE_STRATEGIES:
             raise ValueError(f"unknown probe strategy {self.strategy!r}")
         n = len(self.points) if self.strategy == "fixed_points" else self.count
         if n < 3:

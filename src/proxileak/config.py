@@ -2,7 +2,12 @@
 
 Lines are ``key = value``; blank lines and ``#`` comments are ignored.
 ``seed`` is mandatory; every other key has a documented default. Unknown
-keys and out-of-range values fail with the offending line and field named.
+keys and unparsable values fail with the offending line and field named;
+out-of-range values fail with the field named, and when several keys are
+out of range the first in the list below is reported. Numbers must be
+finite: ``inf`` is accepted only for ``teleport_limit_m`` and
+``teleport_cooldown_s``, and ``nan`` nowhere. The bounding box must have
+positive extent, latitudes in [-90, 90] and longitudes in [-180, 180].
 The fully resolved configuration (defaults included) can be rendered back
 out as a manifest, byte-stable for fixed inputs.
 
@@ -48,11 +53,16 @@ Keys (defaults in parentheses):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .attacker import PROBE_STRATEGIES
+from .mlat import SOLVER_NORMS
+from .world import (BIRTHDATE_MODES, INTERESTS_MODES, POLICY_PRESETS,
+                    BoundingBox, DisclosurePolicy)
+
 __all__ = ["ConfigError", "ScenarioConfig", "parse_scenario", "render_manifest",
-           "SWEEPABLE_PARAMS"]
+           "convert_value", "validate", "POLICY_FIELDS", "SWEEPABLE_PARAMS"]
 
 SWEEPABLE_PARAMS = ("distance_quantum_m", "probe_count", "identify_batch_size",
                     "interests_mode")
@@ -96,165 +106,111 @@ def _bbox(raw: str) -> tuple[float, float, float, float]:
     return tuple(float(p) for p in parts)  # type: ignore[return-value]
 
 
-def _choice(*options):
-    def conv(raw: str) -> str:
-        if raw not in options:
-            raise ValueError(f"must be one of {', '.join(options)}: {raw!r}")
-        return raw
-    return conv
+# Field annotation (a string under postponed evaluation) -> text parser.
+_BBOX = "tuple[float, float, float, float]"
+_PARSERS = {"int": int, "float": _float, "bool": _bool, "str": str, _BBOX: _bbox}
+
+
+def _key(default, *, choices: tuple[str, ...] = (), ge=None, gt=None,
+         allow_inf: bool = False):
+    """A config key's default and constraint; the annotation gives its type.
+
+    ``choices`` lists the accepted strings; ``ge``/``gt`` bound a number;
+    float keys must be finite unless ``allow_inf``.
+    """
+    return field(default=default, metadata={"choices": choices, "ge": ge,
+                                            "gt": gt, "allow_inf": allow_inf})
 
 
 @dataclass
 class ScenarioConfig:
     seed: int
-    attack: str = "localize"
+    attack: str = _key("localize", choices=("localize", "track", "identify"))
     out_dir: str = "out"
     bbox: tuple[float, float, float, float] = (41.35, 2.10, 41.45, 2.25)
-    n_users: int = 25
-    catalog_size: int = 1000
-    zipf_s: float = 1.0
-    mean_likes: float = 3.0
-    n_categories: int = 25
-    duration_s: float = 86_400.0
-    policy_preset: str = "custom"
+    n_users: int = _key(25, ge=1)
+    catalog_size: int = _key(1000, ge=1)
+    zipf_s: float = _key(1.0, gt=0)
+    mean_likes: float = _key(3.0, ge=0)
+    n_categories: int = _key(25, ge=1)
+    duration_s: float = _key(86_400.0, gt=0)
+    policy_preset: str = _key("custom", choices=(*POLICY_PRESETS, "custom"))
     share_distance: bool = True
-    distance_quantum_m: float = 100.0
+    distance_quantum_m: float = _key(100.0, ge=0)
     share_first_name: bool = True
-    birthdate_mode: str = "fuzzy_15d"
-    interests_mode: str = "pages"
+    birthdate_mode: str = _key("fuzzy_15d", choices=BIRTHDATE_MODES)
+    interests_mode: str = _key("pages", choices=INTERESTS_MODES)
     share_social_id: bool = False
-    teleport_limit_m: float = math.inf
-    teleport_cooldown_s: float = math.inf
-    trajectory: str = "stationary"
-    commute_distance_m: float = 5000.0
-    dwell_home_s: float = 28_800.0
-    dwell_work_s: float = 28_800.0
-    travel_s: float = 1800.0
-    walk_step_m: float = 500.0
-    walk_interval_s: float = 600.0
-    trials: int = 1
-    probe_strategy: str = "ring"
-    probe_count: int = 16
-    ring_radius_m: float = 1000.0
-    probe_center_offset_m: float = 250.0
-    solver_norm: str = "l1"
-    solver_max_iterations: int = 200
-    solver_step_init_m: float = 500.0
-    solver_tol_m: float = 0.01
-    track_interval_s: float = 3600.0
-    track_duration_s: float = 57_600.0
-    poi_radius_m: float = 200.0
-    poi_min_dwell_s: float = 7200.0
-    identify_max_rounds: int = 10
-    identify_batch_size: int = 10
-    identify_victims: int = 10
-    attacker_top_likes: int = 10
-
-POLICY_FIELDS = ("share_distance", "distance_quantum_m", "share_first_name",
-                 "birthdate_mode", "interests_mode", "share_social_id")
+    teleport_limit_m: float = _key(math.inf, gt=0, allow_inf=True)
+    teleport_cooldown_s: float = _key(math.inf, ge=0, allow_inf=True)
+    trajectory: str = _key("stationary",
+                           choices=("stationary", "commuter", "random_walk"))
+    commute_distance_m: float = _key(5000.0, gt=0)
+    dwell_home_s: float = _key(28_800.0, gt=0)
+    dwell_work_s: float = _key(28_800.0, gt=0)
+    travel_s: float = _key(1800.0, gt=0)
+    walk_step_m: float = _key(500.0, gt=0)
+    walk_interval_s: float = _key(600.0, gt=0)
+    trials: int = _key(1, ge=1)
+    probe_strategy: str = _key("ring", choices=PROBE_STRATEGIES)
+    probe_count: int = _key(16, ge=3)
+    ring_radius_m: float = _key(1000.0, gt=0)
+    probe_center_offset_m: float = _key(250.0, ge=0)
+    solver_norm: str = _key("l1", choices=SOLVER_NORMS)
+    solver_max_iterations: int = _key(200, ge=1)
+    solver_step_init_m: float = _key(500.0, gt=0)
+    solver_tol_m: float = _key(0.01, gt=0)
+    track_interval_s: float = _key(3600.0, gt=0)
+    track_duration_s: float = _key(57_600.0, ge=0)
+    poi_radius_m: float = _key(200.0, gt=0)
+    poi_min_dwell_s: float = _key(7200.0, ge=0)
+    identify_max_rounds: int = _key(10, ge=1)
+    identify_batch_size: int = _key(10, ge=1)
+    identify_victims: int = _key(10, ge=1)
+    attacker_top_likes: int = _key(10, ge=0)
 
 
-_CONVERTERS = {
-    "seed": int,
-    "attack": _choice("localize", "track", "identify"),
-    "out_dir": str,
-    "bbox": _bbox,
-    "n_users": int,
-    "catalog_size": int,
-    "zipf_s": _float,
-    "mean_likes": _float,
-    "n_categories": int,
-    "duration_s": _float,
-    "policy_preset": _choice("tinder", "happn", "lovoo", "grindr", "badoo",
-                             "custom"),
-    "share_distance": _bool,
-    "distance_quantum_m": _float,
-    "share_first_name": _bool,
-    "birthdate_mode": _choice("exact", "fuzzy_15d", "hidden"),
-    "interests_mode": _choice("pages", "categories", "hidden"),
-    "share_social_id": _bool,
-    "teleport_limit_m": _float,
-    "teleport_cooldown_s": _float,
-    "trajectory": _choice("stationary", "commuter", "random_walk"),
-    "commute_distance_m": _float,
-    "dwell_home_s": _float,
-    "dwell_work_s": _float,
-    "travel_s": _float,
-    "walk_step_m": _float,
-    "walk_interval_s": _float,
-    "trials": int,
-    "probe_strategy": _choice("ring", "adaptive", "fixed_points"),
-    "probe_count": int,
-    "ring_radius_m": _float,
-    "probe_center_offset_m": _float,
-    "solver_norm": _choice("l1", "l2"),
-    "solver_max_iterations": int,
-    "solver_step_init_m": _float,
-    "solver_tol_m": _float,
-    "track_interval_s": _float,
-    "track_duration_s": _float,
-    "poi_radius_m": _float,
-    "poi_min_dwell_s": _float,
-    "identify_max_rounds": int,
-    "identify_batch_size": int,
-    "identify_victims": int,
-    "attacker_top_likes": int,
-}
+_FIELDS = {f.name: f for f in fields(ScenarioConfig)}
 
-# (field, predicate description, predicate)
-_RANGE_CHECKS = [
-    ("n_users", ">= 1", lambda v: v >= 1),
-    ("catalog_size", ">= 1", lambda v: v >= 1),
-    ("zipf_s", "> 0", lambda v: v > 0),
-    ("mean_likes", ">= 0", lambda v: v >= 0),
-    ("n_categories", ">= 1", lambda v: v >= 1),
-    ("duration_s", "> 0", lambda v: v > 0),
-    ("distance_quantum_m", ">= 0", lambda v: v >= 0),
-    ("teleport_limit_m", "> 0", lambda v: v > 0),
-    ("teleport_cooldown_s", ">= 0", lambda v: v >= 0),
-    ("trials", ">= 1", lambda v: v >= 1),
-    ("probe_count", ">= 3", lambda v: v >= 3),
-    ("ring_radius_m", "> 0", lambda v: v > 0),
-    ("probe_center_offset_m", ">= 0", lambda v: v >= 0),
-    ("solver_max_iterations", ">= 1", lambda v: v >= 1),
-    ("solver_step_init_m", "> 0", lambda v: v > 0),
-    ("solver_tol_m", "> 0", lambda v: v > 0),
-    ("track_interval_s", "> 0", lambda v: v > 0),
-    ("track_duration_s", ">= 0", lambda v: v >= 0),
-    ("poi_radius_m", "> 0", lambda v: v > 0),
-    ("poi_min_dwell_s", ">= 0", lambda v: v >= 0),
-    ("identify_max_rounds", ">= 1", lambda v: v >= 1),
-    ("identify_batch_size", ">= 1", lambda v: v >= 1),
-    ("identify_victims", ">= 1", lambda v: v >= 1),
-    ("attacker_top_likes", ">= 0", lambda v: v >= 0),
-    ("commute_distance_m", "> 0", lambda v: v > 0),
-    ("dwell_home_s", "> 0", lambda v: v > 0),
-    ("dwell_work_s", "> 0", lambda v: v > 0),
-    ("travel_s", "> 0", lambda v: v > 0),
-    ("walk_step_m", "> 0", lambda v: v > 0),
-    ("walk_interval_s", "> 0", lambda v: v > 0),
-]
+POLICY_FIELDS = tuple(f.name for f in fields(DisclosurePolicy))
 
 
-def _validate(cfg: ScenarioConfig) -> ScenarioConfig:
-    for name, desc, pred in _RANGE_CHECKS:
-        if not pred(getattr(cfg, name)):
-            raise ConfigError(f"must be {desc}, got {getattr(cfg, name)!r}",
-                              field=name)
-    lat0, lon0, lat1, lon1 = cfg.bbox
-    if not (lat0 < lat1 and lon0 < lon1):
-        raise ConfigError("bounding box must have positive extent", field="bbox")
-    return cfg
-
-
-def convert_value(key: str, raw: str):
+def convert_value(key: str, raw: str, line: int | None = None):
     """Parse one raw string value for a known config key."""
-    if key not in _CONVERTERS:
-        raise ConfigError(f"unknown key {key!r}", field=key)
+    f = _FIELDS.get(key)
+    if f is None:
+        raise ConfigError(f"unknown key {key!r}", field=key, line=line)
+    choices = f.metadata.get("choices")
     try:
-        return _CONVERTERS[key](raw)
+        if choices:
+            if raw not in choices:
+                raise ValueError(f"must be one of {', '.join(choices)}: {raw!r}")
+            return raw
+        return _PARSERS[f.type](raw)
     except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc), field=key) from None
+        raise ConfigError(str(exc), field=key, line=line) from None
+
+
+def _check(f, v) -> None:
+    ge, gt = f.metadata.get("ge"), f.metadata.get("gt")
+    if ge is not None and not v >= ge:
+        raise ValueError(f"must be >= {ge}, got {v!r}")
+    if gt is not None and not v > gt:
+        raise ValueError(f"must be > {gt}, got {v!r}")
+    if f.type == "float" and not (math.isfinite(v) or f.metadata.get("allow_inf")):
+        raise ValueError(f"must be finite, got {v!r}")
+    if f.type == _BBOX:
+        BoundingBox(*v)
+
+
+def validate(cfg: ScenarioConfig) -> ScenarioConfig:
+    """Check every key's constraint in field order; the first failure raises."""
+    for f in fields(cfg):
+        try:
+            _check(f, getattr(cfg, f.name))
+        except ValueError as exc:
+            raise ConfigError(str(exc), field=f.name) from None
+    return cfg
 
 
 def parse_scenario(source: str | Path, overrides: dict[str, str] | None = None
@@ -273,20 +229,9 @@ def parse_scenario(source: str | Path, overrides: dict[str, str] | None = None
             raise ConfigError("expected 'key = value'", line=lineno)
         key, _, value = stripped.partition("=")
         key = key.strip()
-        value = value.split("#", 1)[0].strip()
-        if key not in _CONVERTERS:
-            raise ConfigError(f"unknown key {key!r}", field=key, line=lineno)
-        try:
-            raw[key] = _CONVERTERS[key](value)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(str(exc), field=key, line=lineno) from None
+        raw[key] = convert_value(key, value.split("#", 1)[0].strip(), lineno)
     for key, value in (overrides or {}).items():
-        if key not in _CONVERTERS:
-            raise ConfigError(f"unknown key {key!r}", field=key)
-        try:
-            raw[key] = _CONVERTERS[key](value)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(str(exc), field=key) from None
+        raw[key] = convert_value(key, value)
     if "seed" not in raw:
         raise ConfigError("mandatory field is missing", field="seed")
     cfg = ScenarioConfig(**raw)  # type: ignore[arg-type]
@@ -294,12 +239,11 @@ def parse_scenario(source: str | Path, overrides: dict[str, str] | None = None
     # the file or overrides did not set explicitly, so the manifest echoes
     # effective values.
     if cfg.policy_preset != "custom":
-        from .world import POLICY_PRESETS
         preset = POLICY_PRESETS[cfg.policy_preset]
         for name in POLICY_FIELDS:
             if name not in raw:
                 setattr(cfg, name, getattr(preset, name))
-    return _validate(cfg)
+    return validate(cfg)
 
 
 def render_manifest(cfg: ScenarioConfig) -> str:

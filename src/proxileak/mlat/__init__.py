@@ -30,8 +30,10 @@ __all__ = [
     "DistanceSample", "SolverConfig", "PositionEstimate",
     "UnderdeterminedError", "DegenerateGeometryError",
     "objective", "multilaterate", "runtime_profile",
-    "samples_to_csv", "samples_from_csv", "backend_name",
+    "samples_to_csv", "samples_from_csv", "backend_name", "SOLVER_NORMS",
 ]
+
+SOLVER_NORMS = ("l1", "l2")  # mean absolute, mean squared residual
 
 SAMPLES_CSV_HEADER = "observer_x_m,observer_y_m,reported_m,t_s,quantum_m"
 
@@ -82,7 +84,7 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.norm.lower() not in ("l1", "l2"):
+        if self.norm.lower() not in SOLVER_NORMS:
             raise ValueError(f"norm must be 'l1' or 'l2': {self.norm!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")

@@ -65,15 +65,15 @@ class AttackTrace:
 
     def __init__(self):
         self.events: list[TraceEvent] = []
+        self._probed: set[str | None] = set()  # targets of appended probes
 
     def append(self, event: TraceEvent) -> None:
         if self.events and event.t < self.events[-1].t:
             raise ValueError("trace timestamps must be non-decreasing")
-        if event.kind == "localize_result":
-            prior = sum(1 for e in self.events
-                        if e.kind == "probe" and e.target_id == event.target_id)
-            if prior < 1:
-                raise ValueError("localize_result without prior probes")
+        if event.kind == "localize_result" and event.target_id not in self._probed:
+            raise ValueError("localize_result without prior probes")
+        if event.kind == "probe":
+            self._probed.add(event.target_id)
         self.events.append(event)
 
     def __len__(self) -> int:

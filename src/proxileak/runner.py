@@ -18,7 +18,8 @@ from pathlib import Path
 
 from . import report
 from .attacker import Attacker, ProbePlan, extract_pois, track_to_csv
-from .config import ScenarioConfig, render_manifest
+from .config import (POLICY_FIELDS, SWEEPABLE_PARAMS, ConfigError,
+                     ScenarioConfig, convert_value, render_manifest, validate)
 from .geo import EnuPoint, GeoPoint, from_enu, haversine_m, to_enu
 from .mlat import SolverConfig
 from .report import AttackTrace, TraceEvent
@@ -43,14 +44,7 @@ class RunResult:
 
 
 def build_policy(cfg: ScenarioConfig) -> DisclosurePolicy:
-    return DisclosurePolicy(
-        share_distance=cfg.share_distance,
-        distance_quantum_m=cfg.distance_quantum_m,
-        share_first_name=cfg.share_first_name,
-        birthdate_mode=cfg.birthdate_mode,
-        interests_mode=cfg.interests_mode,
-        share_social_id=cfg.share_social_id,
-    )
+    return DisclosurePolicy(**{f: getattr(cfg, f) for f in POLICY_FIELDS})
 
 
 def _scenario_span(cfg: ScenarioConfig) -> float:
@@ -301,15 +295,13 @@ def _run_identify(cfg: ScenarioConfig, out: Path) -> RunResult:
 def run_sweep(cfg: ScenarioConfig, param: str, values: list[str],
               out_dir: str | Path | None = None, parallel: int = 1) -> RunResult:
     """Run the scenario once per value, aggregate headline metrics."""
-    from .config import SWEEPABLE_PARAMS, ConfigError, _validate, convert_value
-
     if param not in SWEEPABLE_PARAMS:
         raise ConfigError(f"not sweepable (choose from {', '.join(SWEEPABLE_PARAMS)})",
                           field=param)
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     jobs = []
     for v in values:
-        sub = _validate(replace(cfg, **{param: convert_value(param, v)}))
+        sub = validate(replace(cfg, **{param: convert_value(param, v)}))
         jobs.append((v, sub, out / f"{param}={v}"))
     out.mkdir(parents=True, exist_ok=True)
     if parallel > 1:

@@ -7,8 +7,9 @@ carry ``op`` plus op-specific fields (``token``, ``radius_m``, ``lat``,
 one of ``auth``, ``not_found``, ``rate``, ``bad_request``. A malformed line
 yields one ``bad_request`` response and the connection stays open. A line
 longer than ``MAX_LINE_BYTES`` (newline included) yields one ``bad_request``
-and the server closes the connection. Each connection holds its own session
-(login binds it).
+and the server closes the connection. A connection that sends nothing, or
+stops reading, for ``IDLE_TIMEOUT_S`` is closed. Each connection holds its
+own session (login binds it).
 """
 
 from __future__ import annotations
@@ -27,6 +28,11 @@ __all__ = ["entry_to_wire", "WireHandler", "ServiceServer", "ServiceClient"]
 # Longest request line the server reads, newline included; this bounds what
 # one client can make a connection thread hold.
 MAX_LINE_BYTES = 64 * 1024
+
+# Seconds a connection may wait on its peer, to read a request or to write a
+# response, before the server closes it; this bounds how long an idle or
+# stalled client holds a connection thread.
+IDLE_TIMEOUT_S = 300.0
 
 
 def _dump(obj: dict) -> str:
@@ -120,15 +126,23 @@ class WireHandler:
 
 
 class _ConnectionHandler(socketserver.StreamRequestHandler):
+    def setup(self):
+        # Read per connection; the base setup() sets it on the socket.
+        self.timeout = IDLE_TIMEOUT_S
+        super().setup()
+
     def handle(self):
         handler = WireHandler(self.server.service, self.server.world_lock)
-        while raw := self.rfile.readline(MAX_LINE_BYTES + 1):
-            if len(raw) > MAX_LINE_BYTES:
-                self._send({"ok": False, "error": "bad_request"})
-                return
-            line = raw.decode("utf-8", errors="replace").strip()
-            if line:
-                self._send(handler.handle_line(line))
+        try:
+            while raw := self.rfile.readline(MAX_LINE_BYTES + 1):
+                if len(raw) > MAX_LINE_BYTES:
+                    self._send({"ok": False, "error": "bad_request"})
+                    return
+                line = raw.decode("utf-8", errors="replace").strip()
+                if line:
+                    self._send(handler.handle_line(line))
+        except TimeoutError:
+            return  # idle or stalled peer: finish() closes the connection
 
     def _send(self, resp: dict) -> None:
         self.wfile.write((_dump(resp) + "\n").encode("utf-8"))

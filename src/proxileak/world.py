@@ -13,14 +13,15 @@ import bisect
 import hashlib
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import date, timedelta
 
-from .geo import EnuPoint, GeoPoint, from_enu, to_enu
+from .geo import CoordinateError, EnuPoint, GeoPoint, from_enu, to_enu
 
 __all__ = [
     "SimUser", "Page", "PageCatalog", "DisclosurePolicy", "Trajectory",
-    "World", "BoundingBox", "POLICY_PRESETS",
+    "World", "BoundingBox", "POLICY_PRESETS", "BIRTHDATE_MODES",
+    "INTERESTS_MODES",
     "generate_population", "fuzz_birthdate", "quantize_distance",
     "derive_seed", "stationary_trajectory", "commuter_trajectory",
     "random_walk_trajectory",
@@ -46,6 +47,9 @@ BIRTH_RANGE = (date(1965, 1, 1), date(2004, 12, 31))
 FUZZ_WINDOW_DAYS = 7  # offsets drawn uniformly from {-7, ..., +7}
 
 MAX_LIKES_PER_USER = 64
+
+BIRTHDATE_MODES = ("exact", "fuzzy_15d", "hidden")
+INTERESTS_MODES = ("pages", "categories", "hidden")
 
 
 def derive_seed(master: int, *labels) -> int:
@@ -83,6 +87,12 @@ class BoundingBox:
     lon_max: float
 
     def __post_init__(self) -> None:
+        for lat in (self.lat_min, self.lat_max):
+            if not -90.0 <= lat <= 90.0:
+                raise CoordinateError(f"latitude out of range [-90, 90]: {lat!r}")
+        for lon in (self.lon_min, self.lon_max):
+            if not -180.0 <= lon <= 180.0:
+                raise CoordinateError(f"longitude out of range [-180, 180]: {lon!r}")
         if not (self.lat_min < self.lat_max and self.lon_min < self.lon_max):
             raise ValueError("bounding box must have positive extent")
 
@@ -245,14 +255,14 @@ class DisclosurePolicy:
     share_distance: bool = True
     distance_quantum_m: float = 100.0
     share_first_name: bool = True
-    birthdate_mode: str = "fuzzy_15d"  # exact | fuzzy_15d | hidden
-    interests_mode: str = "pages"      # pages | categories | hidden
+    birthdate_mode: str = "fuzzy_15d"
+    interests_mode: str = "pages"
     share_social_id: bool = False
 
     def __post_init__(self) -> None:
-        if self.birthdate_mode not in ("exact", "fuzzy_15d", "hidden"):
+        if self.birthdate_mode not in BIRTHDATE_MODES:
             raise ValueError(f"bad birthdate_mode: {self.birthdate_mode!r}")
-        if self.interests_mode not in ("pages", "categories", "hidden"):
+        if self.interests_mode not in INTERESTS_MODES:
             raise ValueError(f"bad interests_mode: {self.interests_mode!r}")
         if self.distance_quantum_m < 0.0:
             raise ValueError("distance_quantum_m must be >= 0")
@@ -380,8 +390,3 @@ def generate_population(n: int, catalog_size: int, zipf_s: float, seed: int,
         )
     return World(users=users, catalog=catalog, bbox=bbox, seed=seed,
                  duration_s=duration_s)
-
-
-def policy_with(base: DisclosurePolicy, **overrides) -> DisclosurePolicy:
-    """A copy of ``base`` with the given fields replaced."""
-    return replace(base, **overrides)

@@ -7,6 +7,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 from proxileak.cli import EXIT_CONFIG, EXIT_OK, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -164,6 +166,23 @@ def test_sweep_out_of_range_value_is_config_error(tmp_path, capsys):
                  "--out", str(out)]) == EXIT_CONFIG
     assert "probe_count" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sets, field", [
+    (["attack=track", "track_duration_s=inf"], "track_duration_s"),
+    (["mean_likes=inf"], "mean_likes"),
+    (["trajectory=random_walk", "duration_s=inf"], "duration_s"),
+    (["bbox=41,2,91,3"], "bbox"),
+])
+def test_non_finite_and_off_globe_values_are_config_errors(tmp_path, capsys,
+                                                           sets, field):
+    args = ["run", str(ROOT / "scenarios" / "localize_bcn.cfg"),
+            "--out", str(tmp_path / "o")]
+    for item in sets:
+        args += ["--set", item]
+    assert main(args) == EXIT_CONFIG
+    assert f"field {field!r}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_sweep_parallel_matches_sequential(tmp_path):

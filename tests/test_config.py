@@ -1,10 +1,16 @@
 import math
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from proxileak.config import (ConfigError, parse_scenario, render_manifest,
-                              SWEEPABLE_PARAMS)
+from proxileak import config
+from proxileak.config import (ConfigError, ScenarioConfig, parse_scenario,
+                              render_manifest, SWEEPABLE_PARAMS)
+from proxileak.world import BoundingBox
 
 MINIMAL = "seed = 3\n"
 
@@ -79,3 +85,35 @@ def test_bundled_scenarios_parse():
 def test_sweepable_params_documented():
     assert set(SWEEPABLE_PARAMS) == {"distance_quantum_m", "probe_count",
                                      "identify_batch_size", "interests_mode"}
+
+
+def test_every_key_documented():
+    for f in fields(ScenarioConfig):
+        assert re.search(rf"\b{f.name}\b", config.__doc__), f.name
+
+
+# -- property: every input is either rejected for its key or sane -------------
+
+UNLIMITED_KEYS = {"teleport_limit_m", "teleport_cooldown_s"}
+numbers = (st.floats() | st.integers(-10**6, 10**6)).map(repr)
+raw_values = (st.text()
+              | numbers
+              | st.sampled_from(["inf", "-inf", "nan", "1e309", "-0", "true",
+                                 "no", "custom", "grindr", "l2", "hidden"])
+              | st.lists(st.floats() | st.floats(-200.0, 200.0), min_size=3,
+                         max_size=5).map(lambda xs: ",".join(map(repr, xs))))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(key=st.sampled_from([f.name for f in fields(ScenarioConfig)]),
+       raw=raw_values)
+def test_any_single_value_is_rejected_for_its_key_or_usable(key, raw):
+    try:
+        cfg = parse_scenario("seed = 1\n", {key: raw})
+    except ConfigError as exc:
+        assert exc.field == key
+        return
+    for f in fields(cfg):
+        if f.type == "float" and f.name not in UNLIMITED_KEYS:
+            assert math.isfinite(getattr(cfg, f.name)), f.name
+    BoundingBox(*cfg.bbox)

@@ -25,6 +25,8 @@ def test_localize_requires_prior_probe():
     with pytest.raises(ValueError):
         tr.append(TraceEvent("localize_result", 0.0, "u1", {"n_samples": 3}))
     tr.append(TraceEvent("probe", 0.0, "u1"))
+    with pytest.raises(ValueError):  # probes of another target do not count
+        tr.append(TraceEvent("localize_result", 0.5, "u2", {"n_samples": 1}))
     tr.append(TraceEvent("localize_result", 1.0, "u1", {"n_samples": 1}))
 
 

@@ -2,7 +2,9 @@
 
 import json
 import random
+import socket
 import threading
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from proxileak.geo import GeoPoint
 from proxileak.service import (AuthError, NotFoundError, ProximityService,
                                RateError)
+from proxileak import tcp
 from proxileak.tcp import (MAX_LINE_BYTES, ServiceClient, ServiceServer,
                            WireHandler, _dump, entry_to_wire)
 from proxileak.world import DisclosurePolicy, generate_population
@@ -241,6 +244,32 @@ def test_overlong_line_refused_and_connection_closed(server):
             c.read_response()
     with ServiceClient("127.0.0.1", server.port) as c:
         assert c.login(uid) == {"ok": True, "user_id": uid}
+
+
+def test_idle_and_stalled_connections_closed_quietly(server, monkeypatch, capsys):
+    monkeypatch.setattr(tcp, "IDLE_TIMEOUT_S", 0.2)
+    uid = sorted(server.service.world.users)[0]
+    with ServiceClient("127.0.0.1", server.port) as c:
+        assert c.login(uid) == {"ok": True, "user_id": uid}
+        start = time.monotonic()
+        with pytest.raises(ConnectionError):  # EOF once the idle timeout fires
+            c.read_response()
+        assert time.monotonic() - start < 5.0
+    # A peer that sends but never reads: the server's write times out and
+    # the connection is reset, so the sender eventually fails.
+    burst = ((_dump({"op": "login", "token": uid}) + "\n")
+             + (_dump({"op": "nearby", "radius_m": 1e7}) + "\n") * 200).encode()
+    with socket.create_connection(("127.0.0.1", server.port), timeout=0.5) as s:
+        deadline = time.monotonic() + 30.0
+        with pytest.raises((ConnectionResetError, BrokenPipeError)):
+            while time.monotonic() < deadline:
+                try:
+                    s.sendall(burst)
+                except TimeoutError:
+                    pass
+    with ServiceClient("127.0.0.1", server.port) as c:
+        assert c.login(uid) == {"ok": True, "user_id": uid}
+    assert "Traceback" not in capsys.readouterr().err
 
 
 # -- fuzz: every line gets exactly one well-formed response ---------------------

@@ -1,9 +1,10 @@
 import datetime
+import math
 
 import pytest
 from scipy.stats import chi2
 
-from proxileak.geo import GeoPoint, haversine_m
+from proxileak.geo import CoordinateError, GeoPoint, haversine_m
 from proxileak.world import (DEFAULT_BBOX, BoundingBox, DisclosurePolicy,
                              POLICY_PRESETS, Trajectory, TrajectoryRangeError,
                              commuter_trajectory, fuzz_birthdate,
@@ -202,4 +203,11 @@ def test_add_likes_validates_catalog():
 def test_bbox_validation():
     with pytest.raises(ValueError):
         BoundingBox(41.4, 2.2, 41.3, 2.3)
+    for corners in [(41.0, 2.0, 91.0, 3.0), (-90.5, 2.0, 41.0, 3.0),
+                    (41.0, -181.0, 42.0, 3.0), (41.0, 2.0, 42.0, 180.5),
+                    (math.nan, 2.0, 42.0, 3.0), (41.0, 2.0, 42.0, math.inf),
+                    (41.0, -math.inf, 42.0, 3.0)]:
+        with pytest.raises(CoordinateError):
+            BoundingBox(*corners)
+    BoundingBox(-90.0, -180.0, 90.0, 180.0)  # the whole globe is valid
     assert DEFAULT_BBOX.center.lat_deg == pytest.approx(41.40)
