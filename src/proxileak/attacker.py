@@ -236,19 +236,30 @@ def extract_pois(track: TrackRecord, radius_m: float,
     pois: list[Poi] = []
     i = 0
     while i < len(pts):
+        # Left-to-right running sums of the window pts[i:j + 1], started
+        # from 0.0 like sum(). Not sum() itself: since Python 3.12 it
+        # compensates float rounding, so centroids would depend on the
+        # Python version.
+        sx = 0.0 + pts[i][1].x_m
+        sy = 0.0 + pts[i][1].y_m
         j = i
         while j + 1 < len(pts):
-            window = pts[i:j + 2]
-            cx = sum(p.x_m for _, p in window) / len(window)
-            cy = sum(p.y_m for _, p in window) / len(window)
-            if all(math.hypot(p.x_m - cx, p.y_m - cy) <= radius_m
-                   for _, p in window):
+            p = pts[j + 1][1]
+            tx = sx + p.x_m
+            ty = sy + p.y_m
+            size = j + 2 - i
+            cx = tx / size
+            cy = ty / size
+            if all(math.hypot(q.x_m - cx, q.y_m - cy) <= radius_m
+                   for _, q in pts[i:j + 2]):
+                sx = tx
+                sy = ty
                 j += 1
             else:
                 break
         window = pts[i:j + 1]
-        cx = sum(p.x_m for _, p in window) / len(window)
-        cy = sum(p.y_m for _, p in window) / len(window)
+        cx = sx / len(window)
+        cy = sy / len(window)
         span = window[-1][0] - window[0][0]
         if span >= min_dwell_s and len(window) > 1:
             pois.append(Poi(EnuPoint(cx, cy, ref), span,

@@ -1,9 +1,9 @@
 """Kernel backend selection.
 
 The compiled extension is preferred when importable; the pure-Python twin
-is the fallback. Set ``PROXILEAK_PURE=1`` to force the fallback (used by
-the backend-parity tests and the kernel benchmark). Both backends produce
-bit-identical results, so the choice only affects speed.
+is the fallback. Set ``PROXILEAK_PURE=1`` to force the fallback (the
+benchmark's kernel timing does, to time each backend). Both backends
+produce bit-identical results, so the choice only affects speed.
 """
 
 import os

@@ -1,7 +1,12 @@
-/* Compiled solver kernels: the C twin of _kernels_py.py, operation for
- * operation, so both backends return bit-identical floats. Build with
- * -ffp-contract=off (no FMA fusion in the residual arithmetic) and keep the
- * two files in sync. Samples are 1-D contiguous buffers of C doubles. */
+/* Compiled solver kernels: the C twin of _kernels_py.py. Both backends
+ * return bit-identical floats because each candidate point is scored with
+ * the same operations in the same order (coordinate c + step * u, residual
+ * sqrt(dx * dx + dy * dy) - d, summed in sample order, divided by n) and
+ * the 8 candidates are compared in the same order with the same tie-break;
+ * the loops differ (here one pass over the samples per candidate, there one
+ * pass per round). Build with -ffp-contract=off (no FMA fusion in the
+ * residual arithmetic) and keep the two files in step. Samples are 1-D
+ * contiguous buffers of C doubles. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>

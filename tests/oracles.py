@@ -5,9 +5,13 @@ spherical law of cosines, the solver objective minimized by exhaustive
 grid scan (numpy), and query operations re-done as plain brute-force
 filters. ``brute_identify`` is the identification loop as it was before
 the social graph was indexed: every query scans the whole population.
+``loop_objective_value`` and ``loop_solve_pattern`` are the pure-Python
+solver kernel as it was before it scored a whole compass ring per pass:
+one pass over the samples per candidate point.
 """
 
 import math
+from math import fabs, sqrt
 
 import numpy as np
 
@@ -59,6 +63,62 @@ def grid_search_min(obs_x, obs_y, dists, norm, x_lo, x_hi, y_lo, y_hi,
             best_val = float(acc[i, j])
             best_xy = (float(gx[j]), float(rows[i]))
     return best_val, best_xy
+
+
+NORM_L1 = 0
+
+# Axis moves first, then diagonals; order matters for tie-breaking parity.
+_DIRS = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0),
+         (1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
+
+
+def loop_objective_value(obs_x, obs_y, dist, px, py, norm_code):
+    """Per-sample-normalized residual norm of point (px, py)."""
+    n = len(obs_x)
+    acc = 0.0
+    for i in range(n):
+        dx = px - obs_x[i]
+        dy = py - obs_y[i]
+        r = sqrt(dx * dx + dy * dy) - dist[i]
+        if norm_code == NORM_L1:
+            acc += fabs(r)
+        else:
+            acc += r * r
+    return acc / n
+
+
+def loop_solve_pattern(obs_x, obs_y, dist, x0, y0, step_init, tol, max_iter,
+                       norm_code):
+    """Compass/pattern search with step halving, one candidate per pass."""
+    cx = x0
+    cy = y0
+    fc = loop_objective_value(obs_x, obs_y, dist, cx, cy, norm_code)
+    step = step_init
+    it = 0
+    while it < max_iter:
+        it += 1
+        improved = False
+        bf = fc
+        bx = cx
+        by = cy
+        for ux, uy in _DIRS:
+            nx = cx + step * ux
+            ny = cy + step * uy
+            f = loop_objective_value(obs_x, obs_y, dist, nx, ny, norm_code)
+            if f < bf or (improved and f == bf and (nx < bx or (nx == bx and ny < by))):
+                improved = True
+                bf = f
+                bx = nx
+                by = ny
+        if improved:
+            cx = bx
+            cy = by
+            fc = bf
+        else:
+            step *= 0.5
+            if tol > 0.0 and step < tol:
+                break
+    return cx, cy, fc, it
 
 
 def brute_nearby(world, requester_id, radius_m, haversine):

@@ -197,6 +197,15 @@ def test_pois_stationary_single(bcn):
     assert pois[0].dwell_s == 5400.0
 
 
+def test_poi_centroid_is_left_to_right_sum(bcn):
+    # Ten 0.1 m fixes sum to 0.9999999999999999 left to right; a compensated
+    # sum (Python 3.12's sum()) would give 1.0 and a centroid of exactly 0.1.
+    rec = fake_track([(i * 600.0, 0.1, 0.0) for i in range(10)], bcn)
+    (poi,) = extract_pois(rec, radius_m=50.0, min_dwell_s=1800.0)
+    assert poi.center.x_m == 0.9999999999999999 / 10
+    assert poi.center.x_m != 0.1
+
+
 def test_pois_moving_track_empty(bcn):
     rec = fake_track([(i * 600.0, 500.0 * i, 0.0) for i in range(10)], bcn)
     assert extract_pois(rec, radius_m=100.0, min_dwell_s=1200.0) == []

@@ -1,5 +1,7 @@
 """Backend parity: the compiled and pure-Python kernels must agree bit for
-bit, so the artifact's determinism does not depend on which one loads.
+bit, so the artifact's determinism does not depend on which one loads. The
+pure kernel must also agree bit for bit with the one-candidate-per-pass
+loop it replaced (``tests/oracles.py``), which needs no compiler.
 
 The compiled module is built from the tracked ``_kernels.c`` once per test
 session, with ``setup.py``'s own recipe, into a temporary directory, and
@@ -9,8 +11,8 @@ loaded from there; nothing is written into the source tree.
 import importlib.util
 import math
 import os
-import random
 import shutil
+import struct
 import subprocess
 import sys
 import sysconfig
@@ -18,7 +20,10 @@ from array import array
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import loop_objective_value, loop_solve_pattern
 from proxileak.mlat import _kernels_py as pure
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -90,3 +95,65 @@ def test_objective_mean_normalization():
     # residuals at origin: |0-50| and |100-50| -> mean 50
     assert pure.objective_value(xs, ys, ds, 0.0, 0.0, 0) == 50.0
     assert pure.objective_value(xs, ys, ds, 0.0, 0.0, 1) == 2500.0
+
+
+@pytest.fixture(params=["pure-python", "compiled"])
+def kernel(request):
+    if request.param == "pure-python":
+        return pure
+    return request.getfixturevalue("compiled")
+
+
+@pytest.mark.parametrize("lengths", [(0, 0, 0), (3, 2, 3), (3, 3, 4), (2, 3, 3)])
+def test_bad_sample_buffers_rejected(kernel, lengths):
+    xs, ys, ds = (array("d", [1.0] * k) for k in lengths)
+    message = "sample buffers must be non-empty and equally long"
+    with pytest.raises(ValueError, match=message):
+        kernel.objective_value(xs, ys, ds, 0.0, 0.0, 0)
+    with pytest.raises(ValueError, match=message):
+        kernel.solve_pattern(xs, ys, ds, 0.0, 0.0, 500.0, 0.01, 10, 0)
+
+
+# Small integers make exactly tied residuals likely; -0.0 starts differ from
+# 0.0 starts only in the first round's coordinates.
+COORDS = st.one_of(st.integers(-50, 50).map(float),
+                   st.floats(-3000.0, 3000.0), st.sampled_from((0.0, -0.0)))
+DISTANCES = st.one_of(st.integers(0, 60).map(float), st.floats(0.0, 4000.0))
+
+
+@st.composite
+def solver_cases(draw):
+    n = draw(st.integers(1, 40))
+    xs = draw(st.lists(COORDS, min_size=n, max_size=n))
+    ys = draw(st.lists(COORDS, min_size=n, max_size=n))
+    ds = draw(st.lists(DISTANCES, min_size=n, max_size=n))
+    x0, y0 = draw(COORDS), draw(COORDS)
+    # Observers and start on one axis: mirrored candidates tie exactly, so
+    # the (x, y) tie-break decides the move.
+    axis = draw(st.sampled_from(("none", "x", "y")))
+    if axis == "x":
+        ys, y0 = [0.0] * n, draw(st.sampled_from((0.0, -0.0)))
+    elif axis == "y":
+        xs, x0 = [0.0] * n, draw(st.sampled_from((0.0, -0.0)))
+    step = draw(st.one_of(st.sampled_from((1e-9, 1e9, math.inf)),
+                          st.floats(1e-3, 1e4)))
+    tol = draw(st.sampled_from((0.0, 0.01, 1.0)))  # 0: full iteration budget
+    max_iter = draw(st.integers(1, 60))
+    norm = draw(st.sampled_from((0, 1)))
+    samples = tuple(array("d", v) for v in (xs, ys, ds))
+    return samples, x0, y0, step, tol, max_iter, norm
+
+
+def bits(values):
+    """Floats as their IEEE bytes, so -0.0 != 0.0 and NaN == NaN."""
+    return [struct.pack("<d", v) if isinstance(v, float) else v for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(solver_cases())
+def test_pure_kernel_equals_per_candidate_loop(case):
+    samples, x0, y0, step, tol, max_iter, norm = case
+    assert (bits([pure.objective_value(*samples, x0, y0, norm)])
+            == bits([loop_objective_value(*samples, x0, y0, norm)]))
+    assert (bits(pure.solve_pattern(*samples, x0, y0, step, tol, max_iter, norm))
+            == bits(loop_solve_pattern(*samples, x0, y0, step, tol, max_iter, norm)))
