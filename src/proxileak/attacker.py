@@ -12,7 +12,7 @@ module source).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 from .geo import EnuPoint, GeoPoint, from_enu, to_enu
@@ -23,12 +23,12 @@ from .service import ProximityService, Session
 
 __all__ = [
     "ProbePlan", "TrackRecord", "Poi", "PolicyBlockedError", "Attacker",
-    "extract_pois", "track_to_csv", "PROBE_STRATEGIES",
+    "extract_pois", "PROBE_STRATEGIES",
 ]
 
 PROBE_STRATEGIES = ("ring", "adaptive", "fixed_points")
 
-TRACK_CSV_HEADER = "t_s,est_x_m,est_y_m,residual_m"
+ADAPTIVE_ROUNDS = 2  # rings an adaptive plan spreads its probe budget over
 
 
 class PolicyBlockedError(RuntimeError):
@@ -41,7 +41,7 @@ class ProbePlan:
 
     ``ring`` places ``count`` equally spaced probes on a circle around
     ``center`` (rotated by ``angle0_rad``); ``adaptive`` spends the same
-    budget over ``adaptive_rounds`` rings, re-centering and halving the
+    budget over ``ADAPTIVE_ROUNDS`` rings, re-centering and halving the
     radius on the running estimate; ``fixed_points`` uses ``points`` as-is.
     """
 
@@ -51,7 +51,6 @@ class ProbePlan:
     center: GeoPoint | None = None
     points: tuple[GeoPoint, ...] = ()
     angle0_rad: float = 0.0
-    adaptive_rounds: int = 2
 
     def __post_init__(self) -> None:
         if self.strategy not in PROBE_STRATEGIES:
@@ -64,8 +63,6 @@ class ProbePlan:
                 raise ValueError("ring plans need a center")
             if self.ring_radius_m <= 0.0:
                 raise ValueError("ring radius must be > 0")
-        if self.strategy == "adaptive" and self.adaptive_rounds < 1:
-            raise ValueError("adaptive plans need >= 1 round")
 
 
 def ring_points(center: GeoPoint, radius_m: float, count: int,
@@ -159,7 +156,7 @@ class Attacker:
             samples = []
             center = plan.center
             radius = plan.ring_radius_m
-            rounds = min(plan.adaptive_rounds, plan.count // 3)
+            rounds = min(ADAPTIVE_ROUNDS, plan.count // 3)
             per_round = max(3, plan.count // rounds)
             remaining = plan.count
             for r in range(rounds):
@@ -206,12 +203,7 @@ class Attacker:
                 continue
             record.add(self._fix_time(), est)
             if current.strategy in ("ring", "adaptive"):
-                current = ProbePlan(strategy=current.strategy,
-                                    count=current.count,
-                                    ring_radius_m=current.ring_radius_m,
-                                    center=from_enu(est.p_hat),
-                                    angle0_rad=current.angle0_rad,
-                                    adaptive_rounds=current.adaptive_rounds)
+                current = replace(current, center=from_enu(est.p_hat))
         return record
 
     def _fix_time(self) -> float:
@@ -266,10 +258,3 @@ def extract_pois(track: TrackRecord, radius_m: float,
                             window[0][0], window[-1][0], len(window)))
         i = j + 1
     return pois
-
-
-def track_to_csv(track: TrackRecord, fp) -> None:
-    """Write the estimate series (``t_s,est_x_m,est_y_m,residual_m``)."""
-    fp.write(TRACK_CSV_HEADER + "\n")
-    for t, est in track.estimates:
-        fp.write(f"{t!r},{est.p_hat.x_m!r},{est.p_hat.y_m!r},{est.residual!r}\n")

@@ -69,6 +69,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_serve(args) -> int:
     from .tcp import ServiceServer
 
+    if not 0 <= args.port <= 65535:
+        raise ConfigError(f"must be in 0..65535: {args.port}", field="--port")
     cfg, _ = _load(args)
     try:
         server = ServiceServer(build_service(cfg, cfg.seed), port=args.port)

@@ -14,7 +14,6 @@ and in its bit-identical pure-Python twin ``_kernels_py`` otherwise; see
 
 from __future__ import annotations
 
-import io
 import math
 import random
 import time
@@ -22,7 +21,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from ..geo import EnuPoint, GeoPoint
+from ..geo import EnuPoint
 from ._backend import BACKEND, impl as _impl
 from ._kernels_py import NORM_L1, NORM_L2
 
@@ -30,12 +29,10 @@ __all__ = [
     "DistanceSample", "SolverConfig", "PositionEstimate",
     "UnderdeterminedError", "DegenerateGeometryError",
     "objective", "multilaterate", "runtime_profile",
-    "samples_to_csv", "samples_from_csv", "backend_name", "SOLVER_NORMS",
+    "backend_name", "SOLVER_NORMS",
 ]
 
 SOLVER_NORMS = ("l1", "l2")  # mean absolute, mean squared residual
-
-SAMPLES_CSV_HEADER = "observer_x_m,observer_y_m,reported_m,t_s,quantum_m"
 
 # Observer spread below this singular-value ratio is treated as collinear.
 COLLINEARITY_RTOL = 1e-6
@@ -267,35 +264,3 @@ def runtime_profile(sample_counts: Iterable[int], iteration_counts: Iterable[int
                 repeats *= 2
             rows.append((n, iters, elapsed / repeats))
     return rows
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def samples_to_csv(samples: Sequence[DistanceSample], fp) -> None:
-    """Write samples as CSV (header ``observer_x_m,observer_y_m,reported_m,t_s,quantum_m``)."""
-    fp.write(SAMPLES_CSV_HEADER + "\n")
-    for s in samples:
-        fp.write(",".join((_fmt(s.observer.x_m), _fmt(s.observer.y_m),
-                           _fmt(s.reported_m), _fmt(s.t), _fmt(s.quantum_m))) + "\n")
-
-
-def samples_from_csv(fp, ref: GeoPoint) -> list[DistanceSample]:
-    """Read samples written by :func:`samples_to_csv`; observers get ``ref``.
-
-    ``fp`` is a file-like object (or the CSV text itself).
-    """
-    if isinstance(fp, str):
-        fp = io.StringIO(fp)
-    header = fp.readline().strip()
-    if header != SAMPLES_CSV_HEADER:
-        raise ValueError(f"unexpected samples CSV header: {header!r}")
-    out = []
-    for line in fp:
-        line = line.strip()
-        if not line:
-            continue
-        x, y, d, t, q = (float(v) for v in line.split(","))
-        out.append(DistanceSample(EnuPoint(x, y, ref), d, t, q))
-    return out

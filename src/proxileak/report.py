@@ -3,9 +3,9 @@
 Traces are append-only logs of attacker actions. ``classify`` labels every
 trace event with privacy-violation categories from a fixed four-category
 taxonomy (collection / processing / dissemination / invasion, each with a
-closed activity vocabulary); the mapping is data, so alternative codings
-can be passed in. ``emit`` renders deterministic CSV files and small
-self-contained SVG plots (fixed 800x600 canvas, stable element ids).
+closed activity vocabulary). ``emit`` renders deterministic CSV files and
+small self-contained SVG plots (fixed 800x600 canvas, stable element ids).
+Every CSV goes through ``write_csv``, every file through ``_write``.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable, Sequence
 
-from . import mlat
 from .mlat import DistanceSample, PositionEstimate
 
 __all__ = [
@@ -89,25 +89,18 @@ class ViolationReport:
     unlabeled_activities: list[tuple[str, str]]
 
 
-def classify(trace: AttackTrace,
-             mapping: dict[str, tuple[tuple[str, str], ...]] | None = None
-             ) -> ViolationReport:
+def classify(trace: AttackTrace) -> ViolationReport:
     """Label every trace event; pure function of the trace.
 
     On top of the per-kind mapping, a target localized two or more times
     counts as followed over time, which additionally labels those events as
     intrusion.
     """
-    mapping = DEFAULT_EVENT_LABELS if mapping is None else mapping
-    for kind, labels in mapping.items():
-        for cat, act in labels:
-            if act not in TAXONOMY.get(cat, ()):
-                raise ValueError(f"label {(cat, act)!r} outside the taxonomy")
     labels: list[tuple[int, str, str, str]] = []
     tallies: dict[tuple[str, str], int] = {}
     seen_localizations: dict[str, int] = {}
     for idx, ev in enumerate(trace.events):
-        ev_labels = list(mapping.get(ev.kind, ()))
+        ev_labels = list(DEFAULT_EVENT_LABELS.get(ev.kind, ()))
         if ev.kind == "localize_result" and ev.target_id is not None:
             seen_localizations[ev.target_id] = seen_localizations.get(ev.target_id, 0) + 1
             if seen_localizations[ev.target_id] >= 2:
@@ -127,10 +120,6 @@ def classify(trace: AttackTrace,
 
 CANVAS_W, CANVAS_H = 800, 600
 MARGIN = 60.0
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _svg(elements: list[str]) -> str:
@@ -178,13 +167,23 @@ def _write(path: Path, text: str) -> Path:
     return path
 
 
+def write_csv(path: Path, header: Sequence[str],
+              rows: Iterable[Sequence]) -> Path:
+    """The header, then one comma-joined line per row. A float cell is
+    written as ``repr`` (it parses back bit for bit), any other cell as
+    ``str``."""
+    lines = [",".join(header)]
+    lines += [",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
+              for row in rows]
+    return _write(path, "\n".join(lines) + "\n")
+
+
 def write_runtime_grid(rows: list[tuple[int, int, float]], out_dir: Path) -> list[Path]:
     """(samples, iterations, seconds) grid as CSV plus a log-log SVG."""
     out_dir = Path(out_dir)
-    lines = ["samples,iterations,seconds"]
-    for n, it, sec in rows:
-        lines.append(f"{n},{it},{_fmt(sec)}")
-    csv_path = _write(out_dir / "runtime_grid.csv", "\n".join(lines) + "\n")
+    csv_path = write_csv(out_dir / "runtime_grid.csv",
+                         ("samples", "iterations", "seconds"),
+                         ((n, it, float(sec)) for n, it, sec in rows))
 
     by_samples: dict[int, list[tuple[int, float]]] = {}
     for n, it, sec in rows:
@@ -208,8 +207,12 @@ def write_probe_map(samples: list[DistanceSample],
                     out_dir: Path) -> list[Path]:
     """Map of probe circles (one per sample) plus estimate/truth markers."""
     out_dir = Path(out_dir)
-    with open(out_dir / "samples.csv", "w", encoding="utf-8", newline="\n") as fp:
-        mlat.samples_to_csv(samples, fp)
+    # float() keeps a column's format when a caller passes integer values.
+    csv_path = write_csv(
+        out_dir / "samples.csv",
+        ("observer_x_m", "observer_y_m", "reported_m", "t_s", "quantum_m"),
+        (map(float, (s.observer.x_m, s.observer.y_m, s.reported_m, s.t,
+                     s.quantum_m)) for s in samples))
     xs, ys = [], []
     for s in samples:
         xs += [s.observer.x_m - s.reported_m, s.observer.x_m + s.reported_m]
@@ -235,16 +238,14 @@ def write_probe_map(samples: list[DistanceSample],
                         f'cx="{sc.x(estimate.p_hat.x_m):.2f}" '
                         f'cy="{sc.y(estimate.p_hat.y_m):.2f}" r="4" fill="red"/>')
     svg_path = _write(out_dir / "probe_map.svg", _svg(elements))
-    return [out_dir / "samples.csv", svg_path]
+    return [csv_path, svg_path]
 
 
 def write_pool_curve(pool_rows: list[tuple[str, int, int]], out_dir: Path) -> list[Path]:
     """Identification pool sizes per round (long form) plus a median curve."""
     out_dir = Path(out_dir)
-    lines = ["run,round,pool_size"]
-    for run, rnd, size in pool_rows:
-        lines.append(f"{run},{rnd},{size}")
-    csv_path = _write(out_dir / "pool_sizes.csv", "\n".join(lines) + "\n")
+    csv_path = write_csv(out_dir / "pool_sizes.csv",
+                         ("run", "round", "pool_size"), pool_rows)
 
     by_round: dict[int, list[int]] = {}
     for _, rnd, size in pool_rows:
@@ -268,10 +269,9 @@ def write_error_vs_quantum(rows: list[tuple[float, float, float, int]],
     """(quantum, median error, mean error, trials) rows, ascending quantum."""
     out_dir = Path(out_dir)
     rows = sorted(rows)
-    lines = ["quantum_m,median_error_m,mean_error_m,trials"]
-    for q, med, mean, n in rows:
-        lines.append(f"{_fmt(q)},{_fmt(med)},{_fmt(mean)},{n}")
-    csv_path = _write(out_dir / "error_vs_quantum.csv", "\n".join(lines) + "\n")
+    csv_path = write_csv(out_dir / "error_vs_quantum.csv",
+                         ("quantum_m", "median_error_m", "mean_error_m", "trials"),
+                         rows)
     sc = _Scale([q for q, *_ in rows], [med for _, med, *_ in rows])
     pts = " ".join(f"{sc.x(q):.2f},{sc.y(med):.2f}" for q, med, *_ in rows)
     elements = _axes() + [f'<polyline id="error-curve" points="{pts}" '
@@ -284,20 +284,18 @@ def write_violations(report: ViolationReport, out_dir: Path) -> list[Path]:
     """Tallies over the full closed vocabulary (zero rows included) plus
     per-event labels. Activities never produced stay visible as count 0."""
     out_dir = Path(out_dir)
-    lines = ["category,activity,count"]
-    for cat, acts in TAXONOMY.items():
-        for act in acts:
-            lines.append(f"{cat},{act},{report.tallies.get((cat, act), 0)}")
-    tallies_path = _write(out_dir / "violations.csv", "\n".join(lines) + "\n")
-    lines = ["event_index,event_kind,category,activity"]
-    for idx, kind, cat, act in report.labels:
-        lines.append(f"{idx},{kind},{cat},{act}")
-    labels_path = _write(out_dir / "trace_labels.csv", "\n".join(lines) + "\n")
+    tallies_path = write_csv(out_dir / "violations.csv",
+                             ("category", "activity", "count"),
+                             ((cat, act, report.tallies.get((cat, act), 0))
+                              for cat, acts in TAXONOMY.items() for act in acts))
+    labels_path = write_csv(out_dir / "trace_labels.csv",
+                            ("event_index", "event_kind", "category", "activity"),
+                            report.labels)
     return [tallies_path, labels_path]
 
 
-def emit(out_dir: Path, *, runtime_grid=None, probe_map=None, pool_rows=None,
-         error_vs_quantum=None, violations=None) -> list[Path]:
+def emit(out_dir: Path, *, probe_map=None, pool_rows=None,
+         violations=None) -> list[Path]:
     """Write whichever artifacts are provided into ``out_dir``.
 
     ``probe_map`` is a (samples, estimate, truth_xy) triple. Identical
@@ -306,15 +304,11 @@ def emit(out_dir: Path, *, runtime_grid=None, probe_map=None, pool_rows=None,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths: list[Path] = []
-    if runtime_grid is not None:
-        paths += write_runtime_grid(runtime_grid, out_dir)
     if probe_map is not None:
         samples, estimate, truth_xy = probe_map
         paths += write_probe_map(samples, estimate, truth_xy, out_dir)
     if pool_rows is not None:
         paths += write_pool_curve(pool_rows, out_dir)
-    if error_vs_quantum is not None:
-        paths += write_error_vs_quantum(error_vs_quantum, out_dir)
     if violations is not None:
         paths += write_violations(violations, out_dir)
     return paths

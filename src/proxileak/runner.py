@@ -17,14 +17,14 @@ from datetime import date
 from pathlib import Path
 
 from . import report
-from .attacker import Attacker, ProbePlan, extract_pois, track_to_csv
+from .attacker import Attacker, ProbePlan, extract_pois
 from .config import (POLICY_FIELDS, SWEEPABLE_PARAMS, ConfigError,
                      ScenarioConfig, convert_value, render_manifest, validate)
 from .geo import EnuPoint, GeoPoint, from_enu, haversine_m, to_enu
 from .mlat import SolverConfig
 from .report import AttackTrace, TraceEvent
 from .service import ProximityService
-from .socialgraph import SocialGraph, identification_to_csv, identify
+from .socialgraph import SocialGraph, identify
 from .world import (BoundingBox, DisclosurePolicy, SimUser, World,
                     commuter_trajectory, derive_seed, generate_population,
                     random_walk_trajectory, stationary_trajectory)
@@ -135,21 +135,10 @@ def _log_export(trace: AttackTrace, artifact: str) -> None:
     trace.append(TraceEvent("export", t, None, {"artifact": artifact}))
 
 
-def _write_summary(metrics: dict[str, float], out_dir: Path) -> Path:
-    lines = ["metric,value"]
-    for k in sorted(metrics):
-        v = metrics[k]
-        lines.append(f"{k},{v!r}" if isinstance(v, float) else f"{k},{v}")
-    path = out_dir / "summary.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-    return path
-
-
 def run_scenario(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> RunResult:
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "manifest.cfg").write_text(render_manifest(cfg), encoding="utf-8",
-                                      newline="\n")
+    report._write(out / "manifest.cfg", render_manifest(cfg))
     if cfg.attack == "localize":
         result = _run_localize(cfg, out)
     elif cfg.attack == "track":
@@ -157,7 +146,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> RunR
     else:
         result = _run_identify(cfg, out)
     result.paths.append(out / "manifest.cfg")
-    result.paths.append(_write_summary(result.metrics, out))
+    result.paths.append(report.write_csv(
+        out / "summary.csv", ("metric", "value"),
+        ((k, result.metrics[k]) for k in sorted(result.metrics))))
     return result
 
 
@@ -187,11 +178,9 @@ def _run_localize(cfg: ScenarioConfig, out: Path) -> RunResult:
             first_estimate = est
             t_enu = to_enu(truth, agent.ref)
             first_truth_xy = (t_enu.x_m, t_enu.y_m)
-    lines = ["trial,seed,error_m,residual_m,iterations"]
-    for trial, seed, err, res, iters in rows:
-        lines.append(f"{trial},{seed},{err!r},{res!r},{iters}")
-    (out / "localize_trials.csv").write_text("\n".join(lines) + "\n",
-                                             encoding="utf-8", newline="\n")
+    trials_path = report.write_csv(
+        out / "localize_trials.csv",
+        ("trial", "seed", "error_m", "residual_m", "iterations"), rows)
     errors = [r[2] for r in rows]
     _log_export(trace, "localize_trials.csv")
     paths = report.emit(out, probe_map=(first_samples, first_estimate,
@@ -203,7 +192,7 @@ def _run_localize(cfg: ScenarioConfig, out: Path) -> RunResult:
         "mean_error_m": statistics.fmean(errors),
         "max_error_m": max(errors),
     }
-    return RunResult(out, metrics, [out / "localize_trials.csv"] + paths)
+    return RunResult(out, metrics, [trials_path] + paths)
 
 
 def _run_track(cfg: ScenarioConfig, out: Path) -> RunResult:
@@ -220,14 +209,16 @@ def _run_track(cfg: ScenarioConfig, out: Path) -> RunResult:
                          _probe_plan(cfg, prior, cfg.seed),
                          _solver_config(cfg, cfg.seed))
     record.pois = extract_pois(record, cfg.poi_radius_m, cfg.poi_min_dwell_s)
-    with open(out / "track.csv", "w", encoding="utf-8", newline="\n") as fp:
-        track_to_csv(record, fp)
-    lines = ["x_m,y_m,dwell_s,t_start,t_end,n_fixes"]
-    for p in record.pois:
-        lines.append(f"{p.center.x_m!r},{p.center.y_m!r},{p.dwell_s!r},"
-                     f"{p.t_start!r},{p.t_end!r},{p.n_fixes}")
-    (out / "pois.csv").write_text("\n".join(lines) + "\n", encoding="utf-8",
-                                  newline="\n")
+    csv_paths = [
+        report.write_csv(out / "track.csv",
+                         ("t_s", "est_x_m", "est_y_m", "residual_m"),
+                         ((t, e.p_hat.x_m, e.p_hat.y_m, e.residual)
+                          for t, e in record.estimates)),
+        report.write_csv(out / "pois.csv",
+                         ("x_m", "y_m", "dwell_s", "t_start", "t_end", "n_fixes"),
+                         ((p.center.x_m, p.center.y_m, p.dwell_s, p.t_start,
+                           p.t_end, p.n_fixes) for p in record.pois)),
+    ]
     _log_export(trace, "track.csv")
     paths = report.emit(out, violations=report.classify(trace))
     metrics = {
@@ -241,8 +232,7 @@ def _run_track(cfg: ScenarioConfig, out: Path) -> RunResult:
         errs = [min(haversine_m(from_enu(p.center), wp) for _, wp in waypoints)
                 for p in record.pois]
         metrics["poi_error_max_m"] = max(errs)
-    return RunResult(out, metrics,
-                     [out / "track.csv", out / "pois.csv"] + paths)
+    return RunResult(out, metrics, csv_paths + paths)
 
 
 def _run_identify(cfg: ScenarioConfig, out: Path) -> RunResult:
@@ -278,8 +268,11 @@ def _run_identify(cfg: ScenarioConfig, out: Path) -> RunResult:
         rows.append((vseed, res))
         pool_rows += [(vid, rnd, size) for rnd, size in enumerate(res.pool_sizes)]
         hits += int(res.identified and res.social_id == world.user(vid).social_id)
-    with open(out / "identification.csv", "w", encoding="utf-8", newline="\n") as fp:
-        identification_to_csv(rows, fp)
+    ident_path = report.write_csv(
+        out / "identification.csv",
+        ("seed", "rounds_used", "final_pool", "identified"),
+        ((seed, r.rounds_used, r.pool_sizes[-1], int(r.identified))
+         for seed, r in rows))
     _log_export(trace, "identification.csv")
     paths = report.emit(out, pool_rows=pool_rows,
                         violations=report.classify(trace))
@@ -289,38 +282,44 @@ def _run_identify(cfg: ScenarioConfig, out: Path) -> RunResult:
         "mean_rounds": statistics.fmean(r.rounds_used for _, r in rows),
         "mean_final_pool": statistics.fmean(r.pool_sizes[-1] for _, r in rows),
     }
-    return RunResult(out, metrics, [out / "identification.csv"] + paths)
+    return RunResult(out, metrics, [ident_path] + paths)
 
 
 def run_sweep(cfg: ScenarioConfig, param: str, values: list[str],
               out_dir: str | Path | None = None, parallel: int = 1) -> RunResult:
-    """Run the scenario once per value, aggregate headline metrics."""
+    """Run the scenario once per value, aggregate headline metrics.
+
+    Each value must be distinct; at most ``min(parallel, len(values))``
+    worker processes run the values."""
     if param not in SWEEPABLE_PARAMS:
         raise ConfigError(f"not sweepable (choose from {', '.join(SWEEPABLE_PARAMS)})",
                           field=param)
+    if parallel < 1:
+        raise ConfigError(f"must be >= 1: {parallel}", field="--parallel")
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    jobs = []
+    jobs, seen = [], {}
     for v in values:
-        sub = validate(replace(cfg, **{param: convert_value(param, v)}))
-        jobs.append((v, sub, out / f"{param}={v}"))
+        value = convert_value(param, v)
+        if value in seen:
+            raise ConfigError(f"{v!r} repeats {seen[value]!r}", field="--values")
+        seen[value] = v
+        jobs.append((v, validate(replace(cfg, **{param: value})),
+                     out / f"{param}={v}"))
     out.mkdir(parents=True, exist_ok=True)
-    if parallel > 1:
+    workers = min(parallel, len(jobs))
+    if workers > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(parallel) as pool:
+        with multiprocessing.Pool(workers) as pool:
             results = pool.starmap(_sweep_job, jobs)
     else:
         results = [_sweep_job(*j) for j in jobs]
 
     metric_keys = sorted({k for _, m in results for k in m})
-    lines = ["param,value," + ",".join(metric_keys)]
-    for (v, _, _), (_, metrics) in zip(jobs, results):
-        cells = [repr(metrics[k]) if isinstance(metrics.get(k), float)
-                 else str(metrics.get(k, "")) for k in metric_keys]
-        lines.append(f"{param},{v}," + ",".join(cells))
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8",
-                                   newline="\n")
-    paths = [out / "sweep.csv"]
+    paths = [report.write_csv(
+        out / "sweep.csv", ("param", "value", *metric_keys),
+        ((param, v, *(metrics.get(k, "") for k in metric_keys))
+         for (v, _, _), (_, metrics) in zip(jobs, results)))]
     if param == "distance_quantum_m" and cfg.attack == "localize":
         rows = [(float(v), m["median_error_m"], m["mean_error_m"], int(m["trials"]))
                 for (v, _, _), (_, m) in zip(jobs, results)]

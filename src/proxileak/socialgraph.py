@@ -25,10 +25,8 @@ from .world import FUZZ_WINDOW_DAYS, SimUser
 __all__ = [
     "GraphQuery", "SocialGraph", "CandidatePool", "IdentificationResult",
     "InsufficientSelectorsError", "forward_search", "reverse_search",
-    "candidate_birth_years", "identify", "identification_to_csv",
+    "candidate_birth_years", "identify",
 ]
-
-IDENTIFICATION_CSV_HEADER = "seed,rounds_used,final_pool,identified"
 
 
 class InsufficientSelectorsError(ValueError):
@@ -235,11 +233,3 @@ def identify(victim_view: NearbyEntry,
     social_id = next(iter(pool)) if identified else None
     return IdentificationResult(social_id, pool_sizes, rounds_used, identified,
                                 stalled, pools)
-
-
-def identification_to_csv(rows: Sequence[tuple[int, IdentificationResult]], fp) -> None:
-    """Write per-run outcomes (``seed,rounds_used,final_pool,identified``)."""
-    fp.write(IDENTIFICATION_CSV_HEADER + "\n")
-    for seed, res in rows:
-        fp.write(f"{seed},{res.rounds_used},{res.pool_sizes[-1]},"
-                 f"{int(res.identified)}\n")

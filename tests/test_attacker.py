@@ -7,10 +7,10 @@ import pytest
 
 import proxileak.attacker as attacker_mod
 from proxileak.attacker import (Attacker, Poi, PolicyBlockedError, ProbePlan,
-                                TrackRecord, extract_pois, ring_points,
-                                track_to_csv)
+                                TrackRecord, extract_pois, ring_points)
 from proxileak.geo import EnuPoint, enu_distance_m, from_enu, haversine_m, to_enu
 from proxileak.mlat import PositionEstimate, SolverConfig
+from proxileak.report import write_csv
 from proxileak.service import ProximityService
 from proxileak.world import (DisclosurePolicy, POLICY_PRESETS, SimUser,
                              commuter_trajectory, generate_population,
@@ -244,9 +244,10 @@ def test_poi_dwell_at_least_minimum(bcn):
 
 def test_track_csv(tmp_path, bcn):
     rec = fake_track([(0.0, 1.0, 2.0), (10.0, 3.0, 4.0)], bcn)
-    out = tmp_path / "track.csv"
-    with open(out, "w") as fp:
-        track_to_csv(rec, fp)
+    out = write_csv(tmp_path / "track.csv",
+                    ("t_s", "est_x_m", "est_y_m", "residual_m"),
+                    ((t, e.p_hat.x_m, e.p_hat.y_m, e.residual)
+                     for t, e in rec.estimates))
     lines = out.read_text().splitlines()
     assert lines[0] == "t_s,est_x_m,est_y_m,residual_m"
     assert lines[1].startswith("0.0,1.0,2.0")

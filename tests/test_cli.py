@@ -196,6 +196,55 @@ def test_sweep_parallel_matches_sequential(tmp_path):
     assert (seq / "sweep.csv").read_bytes() == (par / "sweep.csv").read_bytes()
 
 
+@pytest.mark.parametrize("parallel", ["0", "-5"])
+def test_sweep_parallel_below_one_is_config_error(tmp_path, capsys, parallel):
+    cfg = write_cfg(tmp_path, FAST_LOCALIZE)
+    out = tmp_path / "sweep"
+    assert main(["sweep", str(cfg), "--param", "probe_count", "--values", "6",
+                 "--parallel", parallel, "--out", str(out)]) == EXIT_CONFIG
+    assert "field '--parallel'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("values", ["8,8", "6,8,6"])
+def test_sweep_repeated_value_is_config_error(tmp_path, capsys, values):
+    cfg = write_cfg(tmp_path, FAST_LOCALIZE)
+    out = tmp_path / "sweep"
+    assert main(["sweep", str(cfg), "--param", "probe_count",
+                 "--values", values, "--out", str(out)]) == EXIT_CONFIG
+    assert "field '--values'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_pool_never_exceeds_job_count(tmp_path, monkeypatch):
+    # A stand-in pool records its size and runs the jobs in this process.
+    import itertools
+    import multiprocessing
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, func, jobs):
+            return list(itertools.starmap(func, jobs))
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    cfg = write_cfg(tmp_path, FAST_LOCALIZE)
+    assert main(["sweep", str(cfg), "--param", "probe_count", "--values", "6,10",
+                 "--parallel", "64", "--out", str(tmp_path / "a")]) == EXIT_OK
+    assert main(["sweep", str(cfg), "--param", "probe_count", "--values", "6",
+                 "--parallel", "64", "--out", str(tmp_path / "b")]) == EXIT_OK
+    assert sizes == [2]  # one value runs in-process, without a pool
+
+
 def free_port():
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))
@@ -229,6 +278,13 @@ def test_serve_round_trip_and_signal_shutdown(tmp_path):
     finally:
         if proc.poll() is None:
             proc.kill()
+
+
+@pytest.mark.parametrize("port", ["70000", "65536", "-1"])
+def test_serve_port_out_of_range_is_config_error(tmp_path, capsys, port):
+    cfg = write_cfg(tmp_path, FAST_LOCALIZE)
+    assert main(["serve", str(cfg), "--port", port]) == EXIT_CONFIG
+    assert "field '--port'" in capsys.readouterr().err
 
 
 def test_serve_bind_failure_is_runtime_error(tmp_path):

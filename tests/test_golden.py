@@ -1,6 +1,8 @@
 """Byte-golden artifacts: each bundled scenario, run at its own seed, must
 write exactly these bytes, whichever kernel backend and Python version runs
 it. ``manifest.cfg`` is left out because it records the output directory.
+The ``distance_quantum_m`` sweep over ``localize_bcn`` pins the sweep-level
+files the same way.
 """
 
 import hashlib
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from proxileak.config import parse_scenario
-from proxileak.runner import run_scenario
+from proxileak.runner import run_scenario, run_sweep
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -49,3 +51,18 @@ def test_bundled_scenario_artifacts_are_byte_golden(scenario, tmp_path):
                for p in tmp_path.rglob("*")
                if p.is_file() and p.name != "manifest.cfg"}
     assert digests == GOLDEN[scenario]
+
+
+SWEEP_GOLDEN = {
+    "error_vs_quantum.csv": "4ffba2273b5b0ca61521d93899f1653d5cba272e94ea2daf26c086b740ff294f",
+    "error_vs_quantum.svg": "3b36a6dc54e4a3feca28ed29bdb44588618fa8ab885c8c8e772b63e6aa49aaec",
+    "sweep.csv": "f1b7c377f2b667df8b6ef1c060afa08515960402ef83cd252db8af05d4dc22ab",
+}
+
+
+def test_quantum_sweep_artifacts_are_byte_golden(tmp_path):
+    cfg = parse_scenario(ROOT / "scenarios" / "localize_bcn.cfg")
+    run_sweep(cfg, "distance_quantum_m", ["10", "50", "100"], tmp_path)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir() if p.is_file()}
+    assert digests == SWEEP_GOLDEN

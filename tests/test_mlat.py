@@ -1,16 +1,19 @@
-import io
 import math
 import random
 import statistics
+import struct
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from oracles import grid_search_min
 from proxileak.geo import EnuPoint
 from proxileak.mlat import (DegenerateGeometryError, DistanceSample,
                             SolverConfig,
                             UnderdeterminedError, multilaterate, objective,
-                            runtime_profile, samples_from_csv, samples_to_csv)
+                            runtime_profile)
+from proxileak.report import write_csv
 from proxileak.world import quantize_distance
 
 
@@ -165,14 +168,27 @@ def test_runtime_profile_rejects_bad_counts():
 
 # -- CSV round trip -------------------------------------------------------------
 
-def test_samples_csv_round_trip(bcn, rng):
-    samples, _ = ring_instance(bcn, rng, 6, 800, 50)
-    buf = io.StringIO()
-    samples_to_csv(samples, buf)
-    text = buf.getvalue()
-    assert text.splitlines()[0] == "observer_x_m,observer_y_m,reported_m,t_s,quantum_m"
-    back = samples_from_csv(io.StringIO(text), bcn)
-    assert back == samples
+SAMPLES_HEADER = ("observer_x_m", "observer_y_m", "reported_m", "t_s", "quantum_m")
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def float_bits(x):
+    return struct.pack("<d", x)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(*[finite] * 5), max_size=6))
+@example([(-0.0, 5e-324, 1e308, -2.2250738585072014e-308, 0.1)])
+def test_samples_csv_round_trip(tmp_path, rows):
+    # Every float cell must parse back to the same bits, signed zero and
+    # subnormals included.
+    path = write_csv(tmp_path / "samples.csv", SAMPLES_HEADER, rows)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "observer_x_m,observer_y_m,reported_m,t_s,quantum_m"
+    back = [tuple(float(c) for c in line.split(",")) for line in lines[1:]]
+    assert [[float_bits(v) for v in row] for row in back] == \
+        [[float_bits(v) for v in row] for row in rows]
 
 
 def test_sample_validation(bcn):

@@ -10,11 +10,11 @@ from proxileak.service import NearbyEntry, ProximityService
 from proxileak.socialgraph import (GraphQuery, IdentificationResult,
                                    InsufficientSelectorsError, SocialGraph,
                                    candidate_birth_years, forward_search,
-                                   identification_to_csv, identify,
-                                   reverse_search)
+                                   identify, reverse_search)
 from proxileak.world import (FUZZ_WINDOW_DAYS, DisclosurePolicy, SimUser,
                              generate_population, stationary_trajectory)
 from proxileak.geo import GeoPoint
+from proxileak.report import write_csv
 
 
 def user(social, name, year, likes, uid=None):
@@ -263,9 +263,10 @@ def test_identify_equals_brute_force_loop(case):
 def test_identification_csv(tmp_path):
     rows = [(1, IdentificationResult("s0", [5, 1], 1, True, False)),
             (2, IdentificationResult(None, [4, 2, 2], 2, False, True))]
-    out = tmp_path / "ident.csv"
-    with open(out, "w") as fp:
-        identification_to_csv(rows, fp)
+    out = write_csv(tmp_path / "ident.csv",
+                    ("seed", "rounds_used", "final_pool", "identified"),
+                    ((seed, r.rounds_used, r.pool_sizes[-1], int(r.identified))
+                     for seed, r in rows))
     lines = out.read_text().splitlines()
     assert lines == ["seed,rounds_used,final_pool,identified",
                      "1,1,1,1", "2,2,2,0"]
