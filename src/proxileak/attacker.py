@@ -26,7 +26,7 @@ __all__ = [
     "extract_pois", "PROBE_STRATEGIES",
 ]
 
-PROBE_STRATEGIES = ("ring", "adaptive", "fixed_points")
+PROBE_STRATEGIES = ("ring", "adaptive")
 
 ADAPTIVE_ROUNDS = 2  # rings an adaptive plan spreads its probe budget over
 
@@ -42,27 +42,24 @@ class ProbePlan:
     ``ring`` places ``count`` equally spaced probes on a circle around
     ``center`` (rotated by ``angle0_rad``); ``adaptive`` spends the same
     budget over ``ADAPTIVE_ROUNDS`` rings, re-centering and halving the
-    radius on the running estimate; ``fixed_points`` uses ``points`` as-is.
+    radius on the running estimate.
     """
 
     strategy: str = "ring"
     count: int = 16
     ring_radius_m: float = 1000.0
     center: GeoPoint | None = None
-    points: tuple[GeoPoint, ...] = ()
     angle0_rad: float = 0.0
 
     def __post_init__(self) -> None:
         if self.strategy not in PROBE_STRATEGIES:
             raise ValueError(f"unknown probe strategy {self.strategy!r}")
-        n = len(self.points) if self.strategy == "fixed_points" else self.count
-        if n < 3:
+        if self.count < 3:
             raise ValueError("localization plans need at least 3 probes")
-        if self.strategy in ("ring", "adaptive"):
-            if self.center is None:
-                raise ValueError("ring plans need a center")
-            if self.ring_radius_m <= 0.0:
-                raise ValueError("ring radius must be > 0")
+        if self.center is None:
+            raise ValueError("ring plans need a center")
+        if self.ring_radius_m <= 0.0:
+            raise ValueError("ring radius must be > 0")
 
 
 def ring_points(center: GeoPoint, radius_m: float, count: int,
@@ -146,9 +143,7 @@ class Attacker:
     def localize(self, target_id: str, plan: ProbePlan,
                  cfg: SolverConfig) -> PositionEstimate:
         """One position fix: execute the plan, solve over all samples."""
-        if plan.strategy == "fixed_points":
-            samples = self.collect_samples(target_id, plan.points)
-        elif plan.strategy == "ring":
+        if plan.strategy == "ring":
             pts = ring_points(plan.center, plan.ring_radius_m, plan.count,
                               plan.angle0_rad)
             samples = self.collect_samples(target_id, pts)

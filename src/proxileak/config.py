@@ -2,8 +2,9 @@
 
 Lines are ``key = value``; blank lines and ``#`` comments are ignored.
 ``seed`` is mandatory; every other key has a documented default. Unknown
-keys and unparsable values fail with the offending line and field named;
-out-of-range values fail with the field named, and when several keys are
+keys, unparsable values and a key set a second time fail with the
+offending line and field named; overrides (``--set``) replace file keys.
+Out-of-range values fail with the field named, and when several keys are
 out of range the first in the list below is reported. Numbers must be
 finite: ``inf`` is accepted only for ``teleport_limit_m`` and
 ``teleport_cooldown_s``, and ``nan`` nowhere. The bounding box must have
@@ -37,7 +38,7 @@ Keys (defaults in parentheses):
   dwell_home_s / dwell_work_s / travel_s   commuter timing (28800/28800/1800)
   walk_step_m / walk_interval_s            random-walk parameters (500/600)
   trials                Monte Carlo repetitions for localize (1)
-  probe_strategy        ring|adaptive|fixed_points (ring)
+  probe_strategy        ring|adaptive (ring)
   probe_count           probes per fix (16)
   ring_radius_m         probe ring radius (1000)
   probe_center_offset_m distance of the attack's coarse prior from the
@@ -229,6 +230,8 @@ def parse_scenario(source: str | Path, overrides: dict[str, str] | None = None
             raise ConfigError("expected 'key = value'", line=lineno)
         key, _, value = stripped.partition("=")
         key = key.strip()
+        if key in raw:
+            raise ConfigError("key is set twice", field=key, line=lineno)
         raw[key] = convert_value(key, value.split("#", 1)[0].strip(), lineno)
     for key, value in (overrides or {}).items():
         raw[key] = convert_value(key, value)

@@ -13,7 +13,6 @@ read a consistent snapshot.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -118,14 +117,6 @@ class Hypergraph:
         """Active hyperedges only; pending (empty) selectors are excluded."""
         return {sid: frozenset(m) for sid, m in self._members.items() if m}
 
-    def pending_selectors(self) -> set[str]:
-        return {sid for sid, m in self._members.items() if not m}
-
-    def earliest_event(self) -> EventNode | None:
-        if not self._events:
-            return None
-        return min(self._events.values(), key=lambda e: (e.t, e.event_id))
-
     def ingest(self, event: EventNode) -> None:
         """Add an event; it joins every selector it satisfies."""
         if event.event_id in self._events:
@@ -161,20 +152,3 @@ class Hypergraph:
         for s in identity_sets[1:]:
             out = (out & s) if combine == "and" else (out | s)
         return out
-
-    def export_jsonl(self, fp) -> None:
-        """One JSON object per line: events in ingest order, then edges."""
-        for ev in self._events.values():
-            payload = ev.payload
-            if isinstance(payload, GeoPoint):
-                payload = {"lat": payload.lat_deg, "lon": payload.lon_deg}
-            fp.write(json.dumps({"type": "event", "event_id": ev.event_id,
-                                 "identity_id": ev.identity_id, "kind": ev.kind,
-                                 "payload": payload, "t": ev.t},
-                                sort_keys=True) + "\n")
-        for sid in sorted(self._members):
-            members = self._members[sid]
-            if members:
-                fp.write(json.dumps({"type": "edge", "selector_id": sid,
-                                     "events": sorted(members)},
-                                    sort_keys=True) + "\n")

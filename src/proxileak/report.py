@@ -3,8 +3,9 @@
 Traces are append-only logs of attacker actions. ``classify`` labels every
 trace event with privacy-violation categories from a fixed four-category
 taxonomy (collection / processing / dissemination / invasion, each with a
-closed activity vocabulary). ``emit`` renders deterministic CSV files and
-small self-contained SVG plots (fixed 800x600 canvas, stable element ids).
+closed activity vocabulary). ``emit`` ends an attack run: it logs the export,
+then renders deterministic CSV files and small self-contained SVG plots
+(fixed 800x600 canvas, stable element ids).
 Every CSV goes through ``write_csv``, every file through ``_write``.
 """
 
@@ -178,12 +179,11 @@ def write_csv(path: Path, header: Sequence[str],
     return _write(path, "\n".join(lines) + "\n")
 
 
-def write_runtime_grid(rows: list[tuple[int, int, float]], out_dir: Path) -> list[Path]:
+def write_runtime_grid(rows: list[tuple[int, int, float]], out_dir: Path) -> None:
     """(samples, iterations, seconds) grid as CSV plus a log-log SVG."""
     out_dir = Path(out_dir)
-    csv_path = write_csv(out_dir / "runtime_grid.csv",
-                         ("samples", "iterations", "seconds"),
-                         ((n, it, float(sec)) for n, it, sec in rows))
+    write_csv(out_dir / "runtime_grid.csv", ("samples", "iterations", "seconds"),
+              ((n, it, float(sec)) for n, it, sec in rows))
 
     by_samples: dict[int, list[tuple[int, float]]] = {}
     for n, it, sec in rows:
@@ -197,18 +197,17 @@ def write_runtime_grid(rows: list[tuple[int, int, float]], out_dir: Path) -> lis
                        for it, sec in sorted(by_samples[n]))
         elements.append(f'<polyline id="series-s{n}" points="{pts}" '
                         f'fill="none" stroke="black"/>')
-    svg_path = _write(out_dir / "runtime_grid.svg", _svg(elements))
-    return [csv_path, svg_path]
+    _write(out_dir / "runtime_grid.svg", _svg(elements))
 
 
 def write_probe_map(samples: list[DistanceSample],
                     estimate: PositionEstimate | None,
                     truth_xy: tuple[float, float] | None,
-                    out_dir: Path) -> list[Path]:
+                    out_dir: Path) -> None:
     """Map of probe circles (one per sample) plus estimate/truth markers."""
     out_dir = Path(out_dir)
     # float() keeps a column's format when a caller passes integer values.
-    csv_path = write_csv(
+    write_csv(
         out_dir / "samples.csv",
         ("observer_x_m", "observer_y_m", "reported_m", "t_s", "quantum_m"),
         (map(float, (s.observer.x_m, s.observer.y_m, s.reported_m, s.t,
@@ -237,15 +236,14 @@ def write_probe_map(samples: list[DistanceSample],
         elements.append(f'<circle id="estimate-marker" '
                         f'cx="{sc.x(estimate.p_hat.x_m):.2f}" '
                         f'cy="{sc.y(estimate.p_hat.y_m):.2f}" r="4" fill="red"/>')
-    svg_path = _write(out_dir / "probe_map.svg", _svg(elements))
-    return [csv_path, svg_path]
+    _write(out_dir / "probe_map.svg", _svg(elements))
 
 
-def write_pool_curve(pool_rows: list[tuple[str, int, int]], out_dir: Path) -> list[Path]:
+def write_pool_curve(pool_rows: list[tuple[str, int, int]], out_dir: Path) -> None:
     """Identification pool sizes per round (long form) plus a median curve."""
     out_dir = Path(out_dir)
-    csv_path = write_csv(out_dir / "pool_sizes.csv",
-                         ("run", "round", "pool_size"), pool_rows)
+    write_csv(out_dir / "pool_sizes.csv", ("run", "round", "pool_size"),
+              pool_rows)
 
     by_round: dict[int, list[int]] = {}
     for _, rnd, size in pool_rows:
@@ -260,55 +258,49 @@ def write_pool_curve(pool_rows: list[tuple[str, int, int]], out_dir: Path) -> li
                    for r, m in medians)
     elements = _axes() + [f'<polyline id="pool-curve" points="{pts}" '
                           f'fill="none" stroke="black"/>']
-    svg_path = _write(out_dir / "pool_sizes.svg", _svg(elements))
-    return [csv_path, svg_path]
+    _write(out_dir / "pool_sizes.svg", _svg(elements))
 
 
 def write_error_vs_quantum(rows: list[tuple[float, float, float, int]],
-                           out_dir: Path) -> list[Path]:
+                           out_dir: Path) -> None:
     """(quantum, median error, mean error, trials) rows, ascending quantum."""
     out_dir = Path(out_dir)
     rows = sorted(rows)
-    csv_path = write_csv(out_dir / "error_vs_quantum.csv",
-                         ("quantum_m", "median_error_m", "mean_error_m", "trials"),
-                         rows)
+    write_csv(out_dir / "error_vs_quantum.csv",
+              ("quantum_m", "median_error_m", "mean_error_m", "trials"), rows)
     sc = _Scale([q for q, *_ in rows], [med for _, med, *_ in rows])
     pts = " ".join(f"{sc.x(q):.2f},{sc.y(med):.2f}" for q, med, *_ in rows)
     elements = _axes() + [f'<polyline id="error-curve" points="{pts}" '
                           f'fill="none" stroke="black"/>']
-    svg_path = _write(out_dir / "error_vs_quantum.svg", _svg(elements))
-    return [csv_path, svg_path]
+    _write(out_dir / "error_vs_quantum.svg", _svg(elements))
 
 
-def write_violations(report: ViolationReport, out_dir: Path) -> list[Path]:
+def write_violations(report: ViolationReport, out_dir: Path) -> None:
     """Tallies over the full closed vocabulary (zero rows included) plus
     per-event labels. Activities never produced stay visible as count 0."""
     out_dir = Path(out_dir)
-    tallies_path = write_csv(out_dir / "violations.csv",
-                             ("category", "activity", "count"),
-                             ((cat, act, report.tallies.get((cat, act), 0))
-                              for cat, acts in TAXONOMY.items() for act in acts))
-    labels_path = write_csv(out_dir / "trace_labels.csv",
-                            ("event_index", "event_kind", "category", "activity"),
-                            report.labels)
-    return [tallies_path, labels_path]
+    write_csv(out_dir / "violations.csv", ("category", "activity", "count"),
+              ((cat, act, report.tallies.get((cat, act), 0))
+               for cat, acts in TAXONOMY.items() for act in acts))
+    write_csv(out_dir / "trace_labels.csv",
+              ("event_index", "event_kind", "category", "activity"),
+              report.labels)
 
 
-def emit(out_dir: Path, *, probe_map=None, pool_rows=None,
-         violations=None) -> list[Path]:
-    """Write whichever artifacts are provided into ``out_dir``.
+def emit(out_dir: Path, trace: AttackTrace, artifact: str, *,
+         probe_map=None, pool_rows=None) -> None:
+    """End an attack run: log the export of ``artifact`` in ``trace``, then
+    write the trace's violation tables and whichever plots are provided
+    into ``out_dir``.
 
     ``probe_map`` is a (samples, estimate, truth_xy) triple. Identical
     inputs produce byte-identical files.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths: list[Path] = []
+    t = trace.events[-1].t if trace.events else 0.0
+    trace.append(TraceEvent("export", t, None, {"artifact": artifact}))
+    write_violations(classify(trace), out_dir)
     if probe_map is not None:
         samples, estimate, truth_xy = probe_map
-        paths += write_probe_map(samples, estimate, truth_xy, out_dir)
+        write_probe_map(samples, estimate, truth_xy, out_dir)
     if pool_rows is not None:
-        paths += write_pool_curve(pool_rows, out_dir)
-    if violations is not None:
-        paths += write_violations(violations, out_dir)
-    return paths
+        write_pool_curve(pool_rows, out_dir)

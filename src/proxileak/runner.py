@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import date
 from pathlib import Path
 
@@ -22,7 +22,7 @@ from .config import (POLICY_FIELDS, SWEEPABLE_PARAMS, ConfigError,
                      ScenarioConfig, convert_value, render_manifest, validate)
 from .geo import EnuPoint, GeoPoint, from_enu, haversine_m, to_enu
 from .mlat import SolverConfig
-from .report import AttackTrace, TraceEvent
+from .report import AttackTrace
 from .service import ProximityService
 from .socialgraph import SocialGraph, identify
 from .world import (BoundingBox, DisclosurePolicy, SimUser, World,
@@ -40,7 +40,6 @@ TARGET_ID = "u00000"
 class RunResult:
     out_dir: Path
     metrics: dict[str, float]
-    paths: list[Path] = field(default_factory=list)
 
 
 def build_policy(cfg: ScenarioConfig) -> DisclosurePolicy:
@@ -130,9 +129,23 @@ def _coarse_prior(truth: GeoPoint, offset_m: float, seed: int) -> GeoPoint:
                              offset_m * math.sin(ang), truth))
 
 
-def _log_export(trace: AttackTrace, artifact: str) -> None:
-    t = trace.events[-1].t if trace.events else 0.0
-    trace.append(TraceEvent("export", t, None, {"artifact": artifact}))
+def _open_attack(cfg: ScenarioConfig, seed: int,
+                 trace: AttackTrace | None) -> Attacker:
+    """The attacker logged in to a fresh ``build_service(cfg, seed)``, after
+    its discovery sweep over the whole world.
+
+    The attacker anchors its working plane at its coarse prior of the
+    target, which keeps the flat-plane model tight around the scene.
+    """
+    service = build_service(cfg, seed)
+    world = service.world
+    session = service.login(ATTACKER_ID)
+    prior = _coarse_prior(world.true_position_of(TARGET_ID),
+                          cfg.probe_center_offset_m, seed)
+    agent = Attacker(service, session, ref=prior, trace=trace,
+                     advance=world.advance)
+    agent.discover(_bbox_cover_radius(world))
+    return agent
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> RunResult:
@@ -145,82 +158,55 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> RunR
         result = _run_track(cfg, out)
     else:
         result = _run_identify(cfg, out)
-    result.paths.append(out / "manifest.cfg")
-    result.paths.append(report.write_csv(
-        out / "summary.csv", ("metric", "value"),
-        ((k, result.metrics[k]) for k in sorted(result.metrics))))
+    report.write_csv(out / "summary.csv", ("metric", "value"),
+                     ((k, result.metrics[k]) for k in sorted(result.metrics)))
     return result
 
 
 def _run_localize(cfg: ScenarioConfig, out: Path) -> RunResult:
     rows = []
-    first_samples = first_estimate = first_truth_xy = None
-    trace = AttackTrace()
+    trace = AttackTrace()  # only trial 0 is traced
     for trial in range(cfg.trials):
         tseed = derive_seed(cfg.seed, "trial", trial)
-        service = build_service(cfg, tseed)
-        world = service.world
-        session = service.login(ATTACKER_ID)
-        truth = world.true_position_of(TARGET_ID)
-        prior = _coarse_prior(truth, cfg.probe_center_offset_m, tseed)
-        # The attacker anchors its working plane at its coarse prior, which
-        # keeps the flat-plane model tight around the scene.
-        agent = Attacker(service, session, ref=prior,
-                         trace=trace if trial == 0 else AttackTrace(),
-                         advance=world.advance)
-        agent.discover(_bbox_cover_radius(world))
-        est = agent.localize(TARGET_ID, _probe_plan(cfg, prior, tseed),
+        agent = _open_attack(cfg, tseed, trace if trial == 0 else None)
+        truth = agent.service.world.true_position_of(TARGET_ID)
+        est = agent.localize(TARGET_ID, _probe_plan(cfg, agent.ref, tseed),
                              _solver_config(cfg, tseed))
         err = haversine_m(from_enu(est.p_hat), truth)
         rows.append((trial, tseed, err, est.residual, est.iterations_used))
         if trial == 0:
-            first_samples = agent.last_samples
-            first_estimate = est
             t_enu = to_enu(truth, agent.ref)
-            first_truth_xy = (t_enu.x_m, t_enu.y_m)
-    trials_path = report.write_csv(
-        out / "localize_trials.csv",
-        ("trial", "seed", "error_m", "residual_m", "iterations"), rows)
+            probe_map = (agent.last_samples, est, (t_enu.x_m, t_enu.y_m))
+    report.write_csv(out / "localize_trials.csv",
+                     ("trial", "seed", "error_m", "residual_m", "iterations"),
+                     rows)
+    report.emit(out, trace, "localize_trials.csv", probe_map=probe_map)
     errors = [r[2] for r in rows]
-    _log_export(trace, "localize_trials.csv")
-    paths = report.emit(out, probe_map=(first_samples, first_estimate,
-                                        first_truth_xy),
-                        violations=report.classify(trace))
     metrics = {
         "trials": cfg.trials,
         "median_error_m": statistics.median(errors),
         "mean_error_m": statistics.fmean(errors),
         "max_error_m": max(errors),
     }
-    return RunResult(out, metrics, [trials_path] + paths)
+    return RunResult(out, metrics)
 
 
 def _run_track(cfg: ScenarioConfig, out: Path) -> RunResult:
-    service = build_service(cfg, cfg.seed)
-    world = service.world
-    session = service.login(ATTACKER_ID)
     trace = AttackTrace()
-    truth0 = world.true_position_of(TARGET_ID)
-    prior = _coarse_prior(truth0, cfg.probe_center_offset_m, cfg.seed)
-    agent = Attacker(service, session, ref=prior, trace=trace,
-                     advance=world.advance)
-    agent.discover(_bbox_cover_radius(world))
+    agent = _open_attack(cfg, cfg.seed, trace)
     record = agent.track(TARGET_ID, cfg.track_interval_s, cfg.track_duration_s,
-                         _probe_plan(cfg, prior, cfg.seed),
+                         _probe_plan(cfg, agent.ref, cfg.seed),
                          _solver_config(cfg, cfg.seed))
     record.pois = extract_pois(record, cfg.poi_radius_m, cfg.poi_min_dwell_s)
-    csv_paths = [
-        report.write_csv(out / "track.csv",
-                         ("t_s", "est_x_m", "est_y_m", "residual_m"),
-                         ((t, e.p_hat.x_m, e.p_hat.y_m, e.residual)
-                          for t, e in record.estimates)),
-        report.write_csv(out / "pois.csv",
-                         ("x_m", "y_m", "dwell_s", "t_start", "t_end", "n_fixes"),
-                         ((p.center.x_m, p.center.y_m, p.dwell_s, p.t_start,
-                           p.t_end, p.n_fixes) for p in record.pois)),
-    ]
-    _log_export(trace, "track.csv")
-    paths = report.emit(out, violations=report.classify(trace))
+    report.write_csv(out / "track.csv",
+                     ("t_s", "est_x_m", "est_y_m", "residual_m"),
+                     ((t, e.p_hat.x_m, e.p_hat.y_m, e.residual)
+                      for t, e in record.estimates))
+    report.write_csv(out / "pois.csv",
+                     ("x_m", "y_m", "dwell_s", "t_start", "t_end", "n_fixes"),
+                     ((p.center.x_m, p.center.y_m, p.dwell_s, p.t_start,
+                       p.t_end, p.n_fixes) for p in record.pois))
+    report.emit(out, trace, "track.csv")
     metrics = {
         "n_fixes": len(record.estimates),
         "n_gaps": len(record.gaps),
@@ -228,21 +214,17 @@ def _run_track(cfg: ScenarioConfig, out: Path) -> RunResult:
     }
     # Distance of each POI to the nearest trajectory waypoint (ground truth).
     if record.pois:
-        waypoints = world.user(TARGET_ID).trajectory.waypoints
+        waypoints = agent.service.world.user(TARGET_ID).trajectory.waypoints
         errs = [min(haversine_m(from_enu(p.center), wp) for _, wp in waypoints)
                 for p in record.pois]
         metrics["poi_error_max_m"] = max(errs)
-    return RunResult(out, metrics, csv_paths + paths)
+    return RunResult(out, metrics)
 
 
 def _run_identify(cfg: ScenarioConfig, out: Path) -> RunResult:
-    service = build_service(cfg, cfg.seed)
-    world = service.world
-    session = service.login(ATTACKER_ID)
     trace = AttackTrace()
-    agent = Attacker(service, session, ref=world.ref, trace=trace,
-                     advance=world.advance)
-    agent.discover(_bbox_cover_radius(world))
+    agent = _open_attack(cfg, cfg.seed, trace)
+    service, session, world = agent.service, agent.session, agent.service.world
     # Indexed once: only the attacker's likes change during the run.
     population = SocialGraph(u for u in world.users.values()
                              if u.user_id != ATTACKER_ID)
@@ -268,21 +250,18 @@ def _run_identify(cfg: ScenarioConfig, out: Path) -> RunResult:
         rows.append((vseed, res))
         pool_rows += [(vid, rnd, size) for rnd, size in enumerate(res.pool_sizes)]
         hits += int(res.identified and res.social_id == world.user(vid).social_id)
-    ident_path = report.write_csv(
-        out / "identification.csv",
-        ("seed", "rounds_used", "final_pool", "identified"),
-        ((seed, r.rounds_used, r.pool_sizes[-1], int(r.identified))
-         for seed, r in rows))
-    _log_export(trace, "identification.csv")
-    paths = report.emit(out, pool_rows=pool_rows,
-                        violations=report.classify(trace))
+    report.write_csv(out / "identification.csv",
+                     ("seed", "rounds_used", "final_pool", "identified"),
+                     ((seed, r.rounds_used, r.pool_sizes[-1], int(r.identified))
+                      for seed, r in rows))
+    report.emit(out, trace, "identification.csv", pool_rows=pool_rows)
     metrics = {
         "victims": len(victim_ids),
         "identification_rate": hits / len(victim_ids),
         "mean_rounds": statistics.fmean(r.rounds_used for _, r in rows),
         "mean_final_pool": statistics.fmean(r.pool_sizes[-1] for _, r in rows),
     }
-    return RunResult(out, metrics, [ident_path] + paths)
+    return RunResult(out, metrics)
 
 
 def run_sweep(cfg: ScenarioConfig, param: str, values: list[str],
@@ -316,16 +295,15 @@ def run_sweep(cfg: ScenarioConfig, param: str, values: list[str],
         results = [_sweep_job(*j) for j in jobs]
 
     metric_keys = sorted({k for _, m in results for k in m})
-    paths = [report.write_csv(
+    report.write_csv(
         out / "sweep.csv", ("param", "value", *metric_keys),
         ((param, v, *(metrics.get(k, "") for k in metric_keys))
-         for (v, _, _), (_, metrics) in zip(jobs, results)))]
+         for (v, _, _), (_, metrics) in zip(jobs, results)))
     if param == "distance_quantum_m" and cfg.attack == "localize":
         rows = [(float(v), m["median_error_m"], m["mean_error_m"], int(m["trials"]))
                 for (v, _, _), (_, m) in zip(jobs, results)]
-        paths += report.write_error_vs_quantum(rows, out)
-    agg = {"runs": len(values)}
-    return RunResult(out, agg, paths)
+        report.write_error_vs_quantum(rows, out)
+    return RunResult(out, {"runs": len(values)})
 
 
 def _sweep_job(value: str, cfg: ScenarioConfig, out: Path):

@@ -297,13 +297,8 @@ class World:
     catalog: PageCatalog
     bbox: BoundingBox
     seed: int
-    duration_s: float
     now_s: float = 0.0
     _overrides: dict[str, GeoPoint] = field(default_factory=dict)
-
-    @property
-    def ref(self) -> GeoPoint:
-        return self.bbox.center
 
     def advance(self, dt_s: float) -> float:
         if dt_s < 0.0:
@@ -388,5 +383,4 @@ def generate_population(n: int, catalog_size: int, zipf_s: float, seed: int,
             likes=catalog.sample_likes(n_likes, zipf_s, rng),
             social_id=f"fb{i:07d}",
         )
-    return World(users=users, catalog=catalog, bbox=bbox, seed=seed,
-                 duration_s=duration_s)
+    return World(users=users, catalog=catalog, bbox=bbox, seed=seed)

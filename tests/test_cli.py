@@ -61,6 +61,15 @@ def test_bad_key_is_config_error(tmp_path):
     assert main(["run", str(cfg)]) == EXIT_CONFIG
 
 
+def test_fixed_points_strategy_is_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, FAST_LOCALIZE)
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out),
+                 "--set", "probe_strategy=fixed_points"]) == EXIT_CONFIG
+    assert "field 'probe_strategy'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_set_overrides(tmp_path):
     cfg = write_cfg(tmp_path, FAST_LOCALIZE)
     out = tmp_path / "o"
@@ -80,7 +89,7 @@ def test_out_env_var(tmp_path, monkeypatch):
 
 
 def test_sweep_quantum(tmp_path):
-    cfg = write_cfg(tmp_path, FAST_LOCALIZE + "trials = 10\n")
+    cfg = write_cfg(tmp_path, FAST_LOCALIZE.replace("trials = 3", "trials = 10"))
     out = tmp_path / "sweep"
     assert main(["sweep", str(cfg), "--param", "distance_quantum_m",
                  "--values", "50,500", "--out", str(out)]) == EXIT_OK

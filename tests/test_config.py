@@ -45,6 +45,18 @@ def test_bad_value_reports_line_and_field():
     assert err.value.field == "probe_count"  # range check
 
 
+def test_repeated_key_reports_second_line():
+    with pytest.raises(ConfigError) as err:
+        parse_scenario("seed = 1\nprobe_count = 2\n\nprobe_count = 8\n")
+    assert err.value.field == "probe_count" and err.value.line == 4
+    with pytest.raises(ConfigError) as err:
+        parse_scenario("seed = 1\nseed = 2\n")
+    assert err.value.field == "seed" and err.value.line == 2
+    # an override still replaces a key the file sets
+    assert parse_scenario("seed = 1\nn_users = 5\n",
+                          {"n_users": "7"}).n_users == 7
+
+
 def test_comments_and_blank_lines():
     cfg = parse_scenario("# scenario\nseed = 4\n\nn_users = 7  # inline\n")
     assert cfg.n_users == 7

@@ -1,7 +1,8 @@
-"""Byte-golden artifacts: each bundled scenario, run at its own seed, must
-write exactly these bytes, whichever kernel backend and Python version runs
-it. ``manifest.cfg`` is left out because it records the output directory.
-The ``distance_quantum_m`` sweep over ``localize_bcn`` pins the sweep-level
+"""Byte-golden artifacts: each bundled scenario, run at its own seed as
+bundled and with the overrides that reach its non-default paths, must write
+exactly these bytes, whichever kernel backend and Python version runs it.
+``manifest.cfg`` is left out because it records the output directory. The
+``distance_quantum_m`` sweep over ``localize_bcn`` pins the sweep-level
 files the same way.
 """
 
@@ -42,15 +43,61 @@ GOLDEN = {
 }
 
 
+# Non-default paths: (scenario, overrides) -> artifact digests.
+OVERRIDE_GOLDEN = {
+    ("localize_bcn", "probe_strategy=adaptive,trials=3"): {
+        "localize_trials.csv": "46c21dbb0fad077ed01255d408332bb7680ac5bf05cad360f4dc81ad602b6e6e",
+        "probe_map.svg": "a75b961c09d5e3aad162310d583492e937a1836169c18ccef451bcd927dc17e5",
+        "samples.csv": "3fff04f50c7257f89c5761257104d00df11302fff53d5f9ad193154219d671c4",
+        "summary.csv": "9a71e6b62ef0fd2686d17fa0a3127a3703c3243bd7e85828416886ba554273a9",
+        "trace_labels.csv": "4d8af05085ff5238e0b6393cd767d15bd62d4c63475dabc265bf8396c03fce3b",
+        "violations.csv": "2c941062e7c414720181dbdf7e73c1f60c08c6c77c46d38144d7e455481b68fa",
+    },
+    ("track_commuter", "trajectory=random_walk,probe_strategy=adaptive"): {
+        "pois.csv": "c639a83cfa9ad0755163c69cbb4a9524a337f7293fb8747fc1d322da30885b28",
+        "summary.csv": "b2ad8856cb2763bd1b58259368d36da70f8c558d06fc4848b5dcb7f05f0c34f4",
+        "trace_labels.csv": "34c7c4a2c7a4b0d01944b4fbd1f248141c31788e9d3da7498f2ecf4f8500476d",
+        "track.csv": "a895383c5198ae98f5536f2242826b761d78112de2cef6c6c902a42037180de5",
+        "violations.csv": "5d01afe2164718b3363c7b7f3b0e1168cd454887d10ab52072204e99e560d348",
+    },
+    ("identify_zipf", "interests_mode=categories"): {
+        "identification.csv": "e407f464f94a75bbbd72da7739da8e28f0af2ade8a44ca70d2213e49ee795ba3",
+        "pool_sizes.csv": "e5dd6a0a580edfe08274ca20ec51066818804da526b5dc68d7894676c2bc29e0",
+        "pool_sizes.svg": "6fc94c1bbd96b73ccbea187859826e262cd777de97dcf0c480eeca7137e71463",
+        "summary.csv": "1c502b8444995082b01a93cc88b938120c2ad9ea33e6737bb1377bac33e5e8ba",
+        "trace_labels.csv": "887b38fa26a488ed6e8104eea8eaa92ad5b4e8df0dc35122becbf6061b592284",
+        "violations.csv": "d7b6094c229da9f256280c8f4f04803a14bb6c8c5915a8f6ee9ecf1c1deac2cd",
+    },
+    ("identify_zipf", "policy_preset=happn"): {
+        "identification.csv": "5c685668510f6f61e7abb95dc465ff21d7ae3486055c0448488cdd7fb5790c3d",
+        "pool_sizes.csv": "179e8ed5021ac09be5be34af78c7c259b5818375c74f184aeec9edc3233152fa",
+        "pool_sizes.svg": "6fc94c1bbd96b73ccbea187859826e262cd777de97dcf0c480eeca7137e71463",
+        "summary.csv": "15599f113c27f94f39a9bf85aa4aabbac583ba658d745a2fec1d033b72827419",
+        "trace_labels.csv": "b1b3dd8b9b19e98210e25917b396cd258b2791c4e1b5da42a462d2a2bf2a82ee",
+        "violations.csv": "2163cdc84afcba04862fb617247611fa88bf8b1571b5d137d412beb6a4bc1e29",
+    },
+}
+
+
+def _run_digests(scenario, overrides, out):
+    cfg = parse_scenario(ROOT / "scenarios" / f"{scenario}.cfg", overrides)
+    run_scenario(cfg, out)
+    return {p.relative_to(out).as_posix():
+            hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.rglob("*")
+            if p.is_file() and p.name != "manifest.cfg"}
+
+
 @pytest.mark.parametrize("scenario", sorted(GOLDEN))
 def test_bundled_scenario_artifacts_are_byte_golden(scenario, tmp_path):
-    cfg = parse_scenario(ROOT / "scenarios" / f"{scenario}.cfg")
-    run_scenario(cfg, tmp_path)
-    digests = {p.relative_to(tmp_path).as_posix():
-               hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in tmp_path.rglob("*")
-               if p.is_file() and p.name != "manifest.cfg"}
-    assert digests == GOLDEN[scenario]
+    assert _run_digests(scenario, {}, tmp_path) == GOLDEN[scenario]
+
+
+@pytest.mark.parametrize("scenario, overrides", sorted(OVERRIDE_GOLDEN))
+def test_override_artifacts_are_byte_golden(scenario, overrides, tmp_path):
+    sets = dict(item.split("=") for item in overrides.split(","))
+    assert (_run_digests(scenario, sets, tmp_path)
+            == OVERRIDE_GOLDEN[scenario, overrides])
 
 
 SWEEP_GOLDEN = {

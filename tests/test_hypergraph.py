@@ -1,5 +1,3 @@
-import io
-import json
 import random
 
 import pytest
@@ -30,11 +28,9 @@ def test_ingest_base_case(bcn):
 def test_like_event_joins_matching_selector(bcn):
     g = Hypergraph()
     g.define_selector(Selector.likes_page("likes-p1", "p1"))
-    assert g.pending_selectors() == {"likes-p1"}
     g.ingest(ev(0, "a", "like", "p1"))
     g.ingest(ev(1, "b", "like", "p2"))
     assert g.edges["likes-p1"] == frozenset({"e0"})
-    assert g.pending_selectors() == set()
 
 
 def test_duplicate_event_rejected_graph_unchanged(bcn):
@@ -79,7 +75,6 @@ def test_pending_empty_edge_not_in_E(bcn):
     g.ingest(ev(0, "a", "like", "p1"))
     g.define_selector(Selector.likes_page("unused", "p999"))
     assert "unused" not in g.edges
-    assert "unused" in g.pending_selectors()
     # the paper-definition constraint: E holds only non-empty subsets of X
     event_ids = set(g.nodes)
     for members in g.edges.values():
@@ -142,14 +137,27 @@ def random_graph(center, rng, n_users, n_events):
 
 
 def test_full_rebuild_oracle(bcn, rng):
-    # edge membership is exactly predicate satisfaction
+    # Edge membership is exactly predicate satisfaction, no edge is empty,
+    # and a query returns the and/or of the identities owning each edge.
     for trial in range(10):
         g, selectors = random_graph(bcn, rng, n_users=20, n_events=150)
         events = list(g.nodes.values())
+        owner = {ev.event_id: ev.identity_id for ev in events}
+        identities = {}
         for s in selectors:
             expected = brute_selector_members(events, s, haversine_m)
             got = set(g.edges.get(s.selector_id, frozenset()))
             assert got == expected
+            identities[s.selector_id] = {owner[eid] for eid in expected}
+        assert all(g.edges.values())
+        for _ in range(10):
+            chosen = rng.sample(sorted(identities), rng.randrange(1, 4))
+            combine = rng.choice(["and", "or"])
+            want = identities[chosen[0]]
+            for sid in chosen[1:]:
+                want = (want & identities[sid] if combine == "and"
+                        else want | identities[sid])
+            assert g.query(chosen, combine) == want
 
 
 def test_selector_validation(bcn):
@@ -163,24 +171,3 @@ def test_selector_validation(bcn):
         EventNode("e0", "a", "location_update", "not-a-point", 0.0)
     with pytest.raises(ValueError):
         EventNode("e0", "a", "teleport", "x", 0.0)
-
-
-def test_earliest_event(bcn):
-    g = Hypergraph()
-    assert g.earliest_event() is None
-    g.ingest(ev(0, "a", "like", "p1", t=5.0))
-    g.ingest(ev(1, "b", "like", "p2", t=1.0))
-    assert g.earliest_event().event_id == "e1"
-
-
-def test_export_jsonl(bcn):
-    g = Hypergraph()
-    g.define_selector(Selector.likes_page("p1", "p1"))
-    g.ingest(ev(0, "a", "like", "p1", t=3.0))
-    g.ingest(loc(1, "a", 10.0, 20.0, 4.0, bcn))
-    buf = io.StringIO()
-    g.export_jsonl(buf)
-    lines = [json.loads(line) for line in buf.getvalue().splitlines()]
-    assert [l["type"] for l in lines] == ["event", "event", "edge"]
-    assert lines[0]["payload"] == "p1"
-    assert lines[2]["events"] == ["e0"]

@@ -91,13 +91,14 @@ def test_emit_deterministic_and_ids(tmp_path, bcn):
     pool = [("v0", 0, 40), ("v0", 1, 4), ("v1", 0, 8), ("v1", 1, 1)]
     quantum_rows = [(100.0, 30.0, 33.0, 10), (10.0, 4.0, 4.2, 10),
                     (500.0, 120.0, 130.0, 10)]
-    tr = trace_of(TraceEvent("probe", 0.0, "u1"),
-                  TraceEvent("export", 1.0, None))
 
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
-        emit(out, probe_map=(samples, est, (35.0, 25.0)), pool_rows=pool,
-             violations=classify(tr))
+        tr = trace_of(TraceEvent("probe", 0.0, "u1"))
+        emit(out, tr, "samples.csv", probe_map=(samples, est, (35.0, 25.0)),
+             pool_rows=pool)
+        assert tr.events[-1] == TraceEvent("export", 0.0, None,
+                                           {"artifact": "samples.csv"})
         write_runtime_grid(grid, out)
         write_error_vs_quantum(quantum_rows, out)
     names = sorted(p.name for p in out1.iterdir())
