@@ -174,7 +174,7 @@ class Attacker:
               plan: ProbePlan, cfg: SolverConfig) -> TrackRecord:
         """Fix the target every ``interval_s`` of simulated time.
 
-        Ring plans re-center each fix on the previous estimate, so the
+        Each fix re-centers the plan on the previous estimate, so the
         attacker keeps touch with a moving target without any outside help.
         A fix lost to degenerate solver geometry is recorded as a gap and
         tracking continues; a policy block aborts the whole track.
@@ -197,8 +197,7 @@ class Attacker:
                 record.gaps.append(k * interval_s)
                 continue
             record.add(self._fix_time(), est)
-            if current.strategy in ("ring", "adaptive"):
-                current = replace(current, center=from_enu(est.p_hat))
+            current = replace(current, center=from_enu(est.p_hat))
         return record
 
     def _fix_time(self) -> float:

@@ -7,8 +7,11 @@ offending line and field named; overrides (``--set``) replace file keys.
 Out-of-range values fail with the field named, and when several keys are
 out of range the first in the list below is reported. Numbers must be
 finite: ``inf`` is accepted only for ``teleport_limit_m`` and
-``teleport_cooldown_s``, and ``nan`` nowhere. The bounding box must have
-positive extent, latitudes in [-90, 90] and longitudes in [-180, 180].
+``teleport_cooldown_s``, and ``nan`` nowhere. The geometric distances
+``commute_distance_m``, ``walk_step_m``, ``ring_radius_m`` and
+``probe_center_offset_m`` must stay below the 100 km tangent-plane range
+of ``geo``. The bounding box must have positive extent, latitudes in
+[-90, 90] and longitudes in [-180, 180].
 The fully resolved configuration (defaults included) can be rendered back
 out as a manifest, byte-stable for fixed inputs.
 
@@ -58,6 +61,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .attacker import PROBE_STRATEGIES
+from .geo import MAX_TANGENT_RANGE_M
 from .mlat import SOLVER_NORMS
 from .world import (BIRTHDATE_MODES, INTERESTS_MODES, POLICY_PRESETS,
                     BoundingBox, DisclosurePolicy)
@@ -113,14 +117,15 @@ _PARSERS = {"int": int, "float": _float, "bool": _bool, "str": str, _BBOX: _bbox
 
 
 def _key(default, *, choices: tuple[str, ...] = (), ge=None, gt=None,
-         allow_inf: bool = False):
+         lt=None, allow_inf: bool = False):
     """A config key's default and constraint; the annotation gives its type.
 
-    ``choices`` lists the accepted strings; ``ge``/``gt`` bound a number;
-    float keys must be finite unless ``allow_inf``.
+    ``choices`` lists the accepted strings; ``ge``/``gt``/``lt`` bound a
+    number; float keys must be finite unless ``allow_inf``.
     """
     return field(default=default, metadata={"choices": choices, "ge": ge,
-                                            "gt": gt, "allow_inf": allow_inf})
+                                            "gt": gt, "lt": lt,
+                                            "allow_inf": allow_inf})
 
 
 @dataclass
@@ -146,17 +151,17 @@ class ScenarioConfig:
     teleport_cooldown_s: float = _key(math.inf, ge=0, allow_inf=True)
     trajectory: str = _key("stationary",
                            choices=("stationary", "commuter", "random_walk"))
-    commute_distance_m: float = _key(5000.0, gt=0)
+    commute_distance_m: float = _key(5000.0, gt=0, lt=MAX_TANGENT_RANGE_M)
     dwell_home_s: float = _key(28_800.0, gt=0)
     dwell_work_s: float = _key(28_800.0, gt=0)
     travel_s: float = _key(1800.0, gt=0)
-    walk_step_m: float = _key(500.0, gt=0)
+    walk_step_m: float = _key(500.0, gt=0, lt=MAX_TANGENT_RANGE_M)
     walk_interval_s: float = _key(600.0, gt=0)
     trials: int = _key(1, ge=1)
     probe_strategy: str = _key("ring", choices=PROBE_STRATEGIES)
     probe_count: int = _key(16, ge=3)
-    ring_radius_m: float = _key(1000.0, gt=0)
-    probe_center_offset_m: float = _key(250.0, ge=0)
+    ring_radius_m: float = _key(1000.0, gt=0, lt=MAX_TANGENT_RANGE_M)
+    probe_center_offset_m: float = _key(250.0, ge=0, lt=MAX_TANGENT_RANGE_M)
     solver_norm: str = _key("l1", choices=SOLVER_NORMS)
     solver_max_iterations: int = _key(200, ge=1)
     solver_step_init_m: float = _key(500.0, gt=0)
@@ -193,11 +198,13 @@ def convert_value(key: str, raw: str, line: int | None = None):
 
 
 def _check(f, v) -> None:
-    ge, gt = f.metadata.get("ge"), f.metadata.get("gt")
+    ge, gt, lt = f.metadata.get("ge"), f.metadata.get("gt"), f.metadata.get("lt")
     if ge is not None and not v >= ge:
         raise ValueError(f"must be >= {ge}, got {v!r}")
     if gt is not None and not v > gt:
         raise ValueError(f"must be > {gt}, got {v!r}")
+    if lt is not None and not v < lt:
+        raise ValueError(f"must be < {lt}, got {v!r}")
     if f.type == "float" and not (math.isfinite(v) or f.metadata.get("allow_inf")):
         raise ValueError(f"must be finite, got {v!r}")
     if f.type == _BBOX:

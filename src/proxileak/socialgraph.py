@@ -24,13 +24,8 @@ from .world import FUZZ_WINDOW_DAYS, SimUser
 
 __all__ = [
     "GraphQuery", "SocialGraph", "CandidatePool", "IdentificationResult",
-    "InsufficientSelectorsError", "forward_search", "reverse_search",
-    "candidate_birth_years", "identify",
+    "forward_search", "reverse_search", "candidate_birth_years", "identify",
 ]
-
-
-class InsufficientSelectorsError(ValueError):
-    """The victim view discloses neither a name nor any likes."""
 
 
 @dataclass(frozen=True)
@@ -56,8 +51,8 @@ def _matches(user: SimUser, q: GraphQuery) -> bool:
 class SocialGraph:
     """Inverted index over a population, built once and queried many times.
 
-    Postings map ``lower(first_name)``, each liked page and each social id
-    to the users holding them; iteration yields the users in input order.
+    Postings map ``lower(first_name)`` and each liked page to the users
+    holding them; iteration yields the users in input order.
     The index is a snapshot of the population's names and likes when it is
     built: later changes to those users' likes are not seen. During an
     identification run only the attacker's likes change, and the attacker
@@ -68,12 +63,10 @@ class SocialGraph:
         self.users = list(population)
         self._by_name: dict[str, list[SimUser]] = defaultdict(list)
         self._by_page: dict[str, list[SimUser]] = defaultdict(list)
-        self.by_social: dict[str, SimUser] = {}
         for u in self.users:
             self._by_name[u.first_name.lower()].append(u)
             for page in u.likes:
                 self._by_page[page].append(u)
-            self.by_social[u.social_id] = u
 
     @classmethod
     def of(cls, population: Iterable[SimUser]) -> SocialGraph:
@@ -160,7 +153,9 @@ def identify(victim_view: NearbyEntry,
     ``like_and_refresh(pages)`` must make the attacker like ``pages`` and
     return a fresh view of the victim; without it (or when the app shows
     interest categories instead of pages) the attack stops at the
-    attribute-only pool. The true account is never dropped from the pool as
+    attribute-only pool. A view that shows neither a name nor common pages
+    starts from the whole population, still filtered by the birth year when
+    one is shown. The true account is never dropped from the pool as
     long as the disclosed fields are truthful, and pools only ever shrink.
     Pass a :class:`SocialGraph` to share one index across many victims; a
     plain sequence is indexed for this call.
@@ -176,9 +171,6 @@ def identify(victim_view: NearbyEntry,
 
     name = victim_view.first_name
     known: set[str] = set(victim_view.common_likes or ()) if interests_are_pages else set()
-    if name is None and not known:
-        raise InsufficientSelectorsError(
-            "view has neither a first name nor usable likes")
     years = None
     if victim_view.fuzzy_birthdate is not None:
         years = candidate_birth_years(victim_view.fuzzy_birthdate, birthdate_is_fuzzy)
@@ -208,8 +200,8 @@ def identify(victim_view: NearbyEntry,
             break
         # Prefer pages that split the pool most evenly; deterministic ties.
         freq = {p: 0 for p in candidates}
-        for sid in pool:
-            for p in graph.by_social[sid].likes:
+        for u in matched:
+            for p in u.likes:
                 if p in freq:
                     freq[p] += 1
         half = len(pool) / 2.0

@@ -16,7 +16,6 @@ from math import fabs, sqrt
 import numpy as np
 
 from proxileak.socialgraph import (CandidatePool, IdentificationResult,
-                                   InsufficientSelectorsError,
                                    candidate_birth_years)
 
 EARTH_RADIUS_M = 6_371_008.8
@@ -159,23 +158,6 @@ def brute_reverse(population, name, birth_year, liked_pages):
     return pages - set(liked_pages)
 
 
-def brute_selector_members(events, selector, haversine):
-    """Event ids satisfying a selector, re-evaluated from scratch."""
-    out = set()
-    for ev in events:
-        if selector.kind == "within_radius":
-            ok = (ev.kind == "location_update"
-                  and selector.t_start <= ev.t <= selector.t_end
-                  and haversine(selector.center, ev.payload) <= selector.radius_m)
-        elif selector.kind == "likes_page":
-            ok = ev.kind == "like" and ev.payload == selector.page_id
-        else:
-            ok = ev.identity_id == selector.identity_id
-        if ok:
-            out.add(ev.event_id)
-    return out
-
-
 def _brute_pool(population, name, years, pages):
     if years is None:
         return brute_forward(population, name, None, pages)
@@ -201,9 +183,6 @@ def brute_identify(victim_view, population, max_rounds=10, batch_size=10,
 
     name = victim_view.first_name
     known = set(victim_view.common_likes or ()) if interests_are_pages else set()
-    if name is None and not known:
-        raise InsufficientSelectorsError(
-            "view has neither a first name nor usable likes")
     years = None
     if victim_view.fuzzy_birthdate is not None:
         years = candidate_birth_years(victim_view.fuzzy_birthdate, birthdate_is_fuzzy)

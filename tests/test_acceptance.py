@@ -285,10 +285,6 @@ def test_category_mitigation():
     ok("category-mitigation", f"strictly lower on {strict}/50 paired seeds")
 
 
-# 9 (selector queries equal brute force) is checked by
-# test_hypergraph.py::test_full_rebuild_oracle.
-
-
 # 10 --------------------------------------------------------------------------
 
 def test_poi_extraction_commuter():

@@ -182,6 +182,12 @@ def test_sweep_out_of_range_value_is_config_error(tmp_path, capsys):
     (["mean_likes=inf"], "mean_likes"),
     (["trajectory=random_walk", "duration_s=inf"], "duration_s"),
     (["bbox=41,2,91,3"], "bbox"),
+    (["probe_center_offset_m=2e7"], "probe_center_offset_m"),
+    (["ring_radius_m=2e7"], "ring_radius_m"),
+    (["attack=track", "trajectory=commuter", "commute_distance_m=2e7"],
+     "commute_distance_m"),
+    (["attack=track", "trajectory=random_walk", "walk_step_m=2e7"],
+     "walk_step_m"),
 ])
 def test_non_finite_and_off_globe_values_are_config_errors(tmp_path, capsys,
                                                            sets, field):

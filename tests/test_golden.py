@@ -76,6 +76,14 @@ OVERRIDE_GOLDEN = {
         "trace_labels.csv": "b1b3dd8b9b19e98210e25917b396cd258b2791c4e1b5da42a462d2a2bf2a82ee",
         "violations.csv": "2163cdc84afcba04862fb617247611fa88bf8b1571b5d137d412beb6a4bc1e29",
     },
+    ("identify_zipf", "policy_preset=grindr"): {
+        "identification.csv": "cad33c2b72692bdaddedb49d2a1059f9fea4934bc513026a5b508b7e0e32c941",
+        "pool_sizes.csv": "1b8de65389561add1a149dcecff3b193d93586105222c3422c0ea395f99622a2",
+        "pool_sizes.svg": "52c1916d97de83731378bcbe825acc6b0c63fc16477eff1bc9a35fa9917ec77b",
+        "summary.csv": "0edf1fe77519b4f97bf415adfbf8d15b49c62b5ce44088b8a5024b29b9fcf06f",
+        "trace_labels.csv": "f76da370f4b413cdecf9068f49d6b1d43fb4b6000abbeb20b79dbffb6acb8907",
+        "violations.csv": "d582980c651132d4dd589d53aa927b550a0e92d9494882d6a2c740d0758ccea5",
+    },
 }
 
 

@@ -1,16 +1,14 @@
 from dataclasses import replace
 from datetime import date, timedelta
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_forward, brute_identify, brute_reverse
 from proxileak.service import NearbyEntry, ProximityService
 from proxileak.socialgraph import (GraphQuery, IdentificationResult,
-                                   InsufficientSelectorsError, SocialGraph,
-                                   candidate_birth_years, forward_search,
-                                   identify, reverse_search)
+                                   SocialGraph, candidate_birth_years,
+                                   forward_search, identify, reverse_search)
 from proxileak.world import (FUZZ_WINDOW_DAYS, DisclosurePolicy, SimUser,
                              generate_population, stationary_trajectory)
 from proxileak.geo import GeoPoint
@@ -121,9 +119,17 @@ def test_identify_social_id_short_circuit():
 
 
 def test_identify_insufficient_selectors():
+    # Neither a name nor common likes: the pool starts from everyone (or
+    # everyone born in the shown year) and cannot refine without refreshes.
     victim = HANDCRAFTED[0]
-    with pytest.raises(InsufficientSelectorsError):
-        identify(view_for(victim, set(), name=False), HANDCRAFTED)
+    res = identify(view_for(victim, set(), name=False, bday=False), HANDCRAFTED)
+    assert res.pools[0].candidates == {u.social_id for u in HANDCRAFTED}
+    assert res.pool_sizes == [len(HANDCRAFTED)]
+    assert res.stalled and not res.identified
+    res = identify(view_for(victim, set(), name=False), HANDCRAFTED)
+    assert res.pools[0].candidates == {u.social_id for u in HANDCRAFTED
+                                       if u.true_birthdate.year == 1979}
+    assert res.stalled
 
 
 def test_identify_pool_subset_invariant_and_soundness():
@@ -229,11 +235,8 @@ def _run_identification(fn, population, victim, view, attacker_likes,
         likes.update(pages)
         return replace(view, common_likes=frozenset(likes & victim.likes))
 
-    try:
-        res = fn(view, population,
-                 like_and_refresh=like_and_refresh if refresh else None, **kwargs)
-    except InsufficientSelectorsError:
-        return None, batches
+    res = fn(view, population,
+             like_and_refresh=like_and_refresh if refresh else None, **kwargs)
     return res, batches
 
 
@@ -249,9 +252,6 @@ def test_identify_equals_brute_force_loop(case):
                                               view, attacker_likes, refresh,
                                               kwargs)
     assert got_batches == want_batches
-    if want is None:
-        assert got is None
-        return
     assert got.pools == want.pools
     assert got.pool_sizes == want.pool_sizes
     assert got.rounds_used == want.rounds_used
