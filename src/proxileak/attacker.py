@@ -196,13 +196,9 @@ class Attacker:
             except (UnderdeterminedError, DegenerateGeometryError):
                 record.gaps.append(k * interval_s)
                 continue
-            record.add(self._fix_time(), est)
+            record.add(self.last_samples[-1].t, est)
             current = replace(current, center=from_enu(est.p_hat))
         return record
-
-    def _fix_time(self) -> float:
-        # Session-visible time of the latest poll.
-        return self.trace.events[-1].t if self.trace.events else 0.0
 
 
 def extract_pois(track: TrackRecord, radius_m: float,

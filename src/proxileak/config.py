@@ -26,7 +26,6 @@ Keys (defaults in parentheses):
   zipf_s                rank-weight exponent for like sampling (1.0)
   mean_likes            mean per-user like count (3.0)
   n_categories          page categories (25)
-  duration_s            scenario time span (86400)
   policy_preset         tinder|happn|lovoo|grindr|badoo|custom (custom)
   share_distance        bool (true)
   distance_quantum_m    floor-quantization step, 0 = exact (100)
@@ -139,7 +138,6 @@ class ScenarioConfig:
     zipf_s: float = _key(1.0, gt=0)
     mean_likes: float = _key(3.0, ge=0)
     n_categories: int = _key(25, ge=1)
-    duration_s: float = _key(86_400.0, gt=0)
     policy_preset: str = _key("custom", choices=(*POLICY_PRESETS, "custom"))
     share_distance: bool = True
     distance_quantum_m: float = _key(100.0, ge=0)

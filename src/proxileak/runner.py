@@ -46,23 +46,13 @@ def build_policy(cfg: ScenarioConfig) -> DisclosurePolicy:
     return DisclosurePolicy(**{f: getattr(cfg, f) for f in POLICY_FIELDS})
 
 
-def _scenario_span(cfg: ScenarioConfig) -> float:
-    span = cfg.duration_s
-    if cfg.attack == "track":
-        span = max(span, cfg.track_duration_s + cfg.track_interval_s)
-    if cfg.trajectory == "commuter":
-        span = max(span, cfg.dwell_home_s + cfg.travel_s + cfg.dwell_work_s)
-    return span
-
-
 def build_world(cfg: ScenarioConfig, seed: int | None = None) -> World:
     """Population, the target's trajectory, and the attacker account."""
     seed = cfg.seed if seed is None else seed
     bbox = BoundingBox(*cfg.bbox)
-    span = _scenario_span(cfg)
     world = generate_population(cfg.n_users, cfg.catalog_size, cfg.zipf_s,
                                 seed, bbox=bbox, mean_likes=cfg.mean_likes,
-                                n_categories=cfg.n_categories, duration_s=span)
+                                n_categories=cfg.n_categories)
     rng = random.Random(derive_seed(seed, "target-trajectory"))
     target = world.user(TARGET_ID)
     home = target.trajectory.position_at(0.0)
@@ -70,13 +60,11 @@ def build_world(cfg: ScenarioConfig, seed: int | None = None) -> World:
         ang = rng.uniform(0.0, 2.0 * math.pi)
         work = from_enu(EnuPoint(cfg.commute_distance_m * math.cos(ang),
                                  cfg.commute_distance_m * math.sin(ang), home))
-        # Pad the final dwell so the trajectory covers the whole scenario.
-        tail = max(cfg.dwell_work_s,
-                   span - cfg.dwell_home_s - cfg.travel_s)
         target.trajectory = commuter_trajectory(home, work, cfg.dwell_home_s,
-                                                cfg.travel_s, tail)
+                                                cfg.travel_s, cfg.dwell_work_s)
     elif cfg.trajectory == "random_walk":
-        n_steps = max(1, math.ceil(span / cfg.walk_interval_s))
+        # Long enough for the track; the target holds its last waypoint.
+        n_steps = max(1, math.ceil(cfg.track_duration_s / cfg.walk_interval_s))
         target.trajectory = random_walk_trajectory(home, cfg.walk_step_m,
                                                    cfg.walk_interval_s, n_steps,
                                                    rng, bbox)
@@ -84,7 +72,7 @@ def build_world(cfg: ScenarioConfig, seed: int | None = None) -> World:
         user_id=ATTACKER_ID,
         first_name="Mallory",
         true_birthdate=date(1990, 1, 1),
-        trajectory=stationary_trajectory(bbox.center, span),
+        trajectory=stationary_trajectory(bbox.center),
         likes=set(world.catalog.top(cfg.attacker_top_likes)),
         social_id="fb-attacker",
     ))
@@ -212,10 +200,14 @@ def _run_track(cfg: ScenarioConfig, out: Path) -> RunResult:
         "n_gaps": len(record.gaps),
         "n_pois": len(record.pois),
     }
-    # Distance of each POI to the nearest trajectory waypoint (ground truth).
+    # Distance of each POI to the nearest trajectory waypoint (ground truth)
+    # the target had reached by the last fix.
     if record.pois:
-        waypoints = agent.service.world.user(TARGET_ID).trajectory.waypoints
-        errs = [min(haversine_m(from_enu(p.center), wp) for _, wp in waypoints)
+        t_last = record.estimates[-1][0]
+        waypoints = [wp for t, wp in
+                     agent.service.world.user(TARGET_ID).trajectory.waypoints
+                     if t <= t_last]
+        errs = [min(haversine_m(from_enu(p.center), wp) for wp in waypoints)
                 for p in record.pois]
         metrics["poi_error_max_m"] = max(errs)
     return RunResult(out, metrics)

@@ -122,9 +122,9 @@ class Page:
 
 
 class PageCatalog:
-    """Ranked page catalog; rank r carries sampling weight r**-s."""
+    """Ranked page catalog; rank r carries sampling weight r**-zipf_s."""
 
-    def __init__(self, pages: list[Page]):
+    def __init__(self, pages: list[Page], zipf_s: float):
         ranks = sorted(p.popularity_rank for p in pages)
         if ranks != list(range(1, len(pages) + 1)):
             raise ValueError("page ranks must be exactly 1..P with no gaps")
@@ -132,6 +132,12 @@ class PageCatalog:
         self._by_id = {p.page_id: p for p in self.pages}
         if len(self._by_id) != len(self.pages):
             raise ValueError("duplicate page ids in catalog")
+        # Cumulative rank weights, summed left to right.
+        total = 0.0
+        self._cum = []
+        for r in range(1, len(self.pages) + 1):
+            total += r ** (-zipf_s)
+            self._cum.append(total)
 
     def __len__(self) -> int:
         return len(self.pages)
@@ -145,18 +151,10 @@ class PageCatalog:
     def top(self, n: int) -> list[str]:
         return [p.page_id for p in self.pages[:n]]
 
-    def sample_likes(self, count: int, zipf_s: float, rng: random.Random) -> set[str]:
+    def sample_likes(self, count: int, rng: random.Random) -> set[str]:
         """``count`` distinct pages, rank-weighted by rank**-zipf_s."""
         count = min(count, len(self.pages))
-        cum = getattr(self, "_cum_cache", None)
-        if cum is None or self._cum_s != zipf_s:
-            total = 0.0
-            cum = []
-            for r in range(1, len(self.pages) + 1):
-                total += r ** (-zipf_s)
-                cum.append(total)
-            self._cum_cache = cum
-            self._cum_s = zipf_s
+        cum = self._cum
         chosen: set[str] = set()
         while len(chosen) < count:
             u = rng.random() * cum[-1]
@@ -165,20 +163,21 @@ class PageCatalog:
         return chosen
 
 
-def make_catalog(catalog_size: int, n_categories: int, seed: int) -> PageCatalog:
+def make_catalog(catalog_size: int, n_categories: int, zipf_s: float,
+                 seed: int) -> PageCatalog:
     rng = random.Random(derive_seed(seed, "catalog"))
     cats = [f"cat{c:03d}" for c in range(n_categories)]
     pages = [Page(f"pg{r:05d}", rng.choice(cats), r)
              for r in range(1, catalog_size + 1)]
-    return PageCatalog(pages)
-
-
-class TrajectoryRangeError(ValueError):
-    """Queried time outside the trajectory's span."""
+    return PageCatalog(pages, zipf_s)
 
 
 class Trajectory:
-    """Time-ordered waypoints, piecewise-linear in the local plane."""
+    """Time-ordered waypoints, piecewise-linear in the local plane.
+
+    Before its first waypoint and after its last, the trajectory holds
+    that waypoint's position, so it is defined at every time.
+    """
 
     def __init__(self, waypoints: list[tuple[float, GeoPoint]]):
         if not waypoints:
@@ -189,16 +188,10 @@ class Trajectory:
         self.waypoints = list(waypoints)
         self._times = times
 
-    @property
-    def span(self) -> tuple[float, float]:
-        return self._times[0], self._times[-1]
-
     def position_at(self, t: float) -> GeoPoint:
-        t0, t1 = self.span
-        if not (t0 <= t <= t1):
-            raise TrajectoryRangeError(
-                f"t={t!r} outside trajectory span [{t0!r}, {t1!r}]")
         i = bisect.bisect_right(self._times, t) - 1
+        if i < 0:
+            return self.waypoints[0][1]
         if i >= len(self.waypoints) - 1:
             return self.waypoints[-1][1]
         ta, pa = self.waypoints[i]
@@ -210,13 +203,13 @@ class Trajectory:
         return from_enu(EnuPoint(frac * leg.x_m, frac * leg.y_m, pa))
 
 
-def stationary_trajectory(p: GeoPoint, duration_s: float) -> Trajectory:
-    return Trajectory([(0.0, p), (duration_s, p)])
+def stationary_trajectory(p: GeoPoint) -> Trajectory:
+    return Trajectory([(0.0, p)])
 
 
 def commuter_trajectory(home: GeoPoint, work: GeoPoint, dwell_home_s: float,
                         travel_s: float, dwell_work_s: float) -> Trajectory:
-    """Dwell at home, move linearly to work, dwell there."""
+    """Dwell at home, move linearly to work, dwell there and stay."""
     t1 = dwell_home_s
     t2 = t1 + travel_s
     t3 = t2 + dwell_work_s
@@ -309,17 +302,16 @@ class World:
     def user(self, user_id: str) -> SimUser:
         return self.users[user_id]
 
-    def position_of(self, user_id: str, t: float | None = None) -> GeoPoint:
-        """Service-visible position: explicit override if set, else trajectory."""
+    def position_of(self, user_id: str) -> GeoPoint:
+        """Service-visible position now: explicit override if set, else
+        trajectory."""
         if user_id in self._overrides:
             return self._overrides[user_id]
-        when = self.now_s if t is None else t
-        return self.users[user_id].trajectory.position_at(when)
+        return self.true_position_of(user_id)
 
-    def true_position_of(self, user_id: str, t: float | None = None) -> GeoPoint:
-        """Trajectory ground truth, ignoring any manual location override."""
-        when = self.now_s if t is None else t
-        return self.users[user_id].trajectory.position_at(when)
+    def true_position_of(self, user_id: str) -> GeoPoint:
+        """Trajectory ground truth now, ignoring any manual location override."""
+        return self.users[user_id].trajectory.position_at(self.now_s)
 
     def set_override(self, user_id: str, p: GeoPoint) -> None:
         self._overrides[user_id] = p
@@ -354,8 +346,7 @@ def _bounded_geometric(rng: random.Random, mean: float, cap: int) -> int:
 def generate_population(n: int, catalog_size: int, zipf_s: float, seed: int,
                         bbox: BoundingBox = DEFAULT_BBOX,
                         mean_likes: float = 3.0,
-                        n_categories: int = 25,
-                        duration_s: float = 86_400.0) -> World:
+                        n_categories: int = 25) -> World:
     """Build a fully deterministic world of ``n`` stationary users.
 
     Positions are uniform in ``bbox``; per-user like counts follow a bounded
@@ -366,7 +357,7 @@ def generate_population(n: int, catalog_size: int, zipf_s: float, seed: int,
         raise ValueError("population size must be >= 1")
     if zipf_s <= 0.0:
         raise ValueError("zipf_s must be > 0")
-    catalog = make_catalog(catalog_size, n_categories, seed)
+    catalog = make_catalog(catalog_size, n_categories, zipf_s, seed)
     users: dict[str, SimUser] = {}
     ord_lo, ord_hi = BIRTH_RANGE[0].toordinal(), BIRTH_RANGE[1].toordinal()
     for i in range(n):
@@ -379,8 +370,8 @@ def generate_population(n: int, catalog_size: int, zipf_s: float, seed: int,
             user_id=uid,
             first_name=rng.choice(FIRST_NAMES),
             true_birthdate=date.fromordinal(rng.randint(ord_lo, ord_hi)),
-            trajectory=stationary_trajectory(pos, duration_s),
-            likes=catalog.sample_likes(n_likes, zipf_s, rng),
+            trajectory=stationary_trajectory(pos),
+            likes=catalog.sample_likes(n_likes, rng),
             social_id=f"fb{i:07d}",
         )
     return World(users=users, catalog=catalog, bbox=bbox, seed=seed)

@@ -49,12 +49,12 @@ def ring_instance(rng, count, radius, quantum, target_spread=300.0):
     return samples, (tx, ty)
 
 
-def attack_world(seed, *, n=2, policy=None, span=90_000.0, mean_likes=3.0,
-                 catalog=100, attacker_likes=()):
-    world = generate_population(n, catalog, 1.0, seed=seed, duration_s=span,
+def attack_world(seed, *, n=2, policy=None, mean_likes=3.0, catalog=100,
+                 attacker_likes=()):
+    world = generate_population(n, catalog, 1.0, seed=seed,
                                 mean_likes=mean_likes)
     world.add_user(SimUser(ATTACKER, "Mallory", date(1990, 1, 1),
-                           stationary_trajectory(world.bbox.center, span),
+                           stationary_trajectory(world.bbox.center),
                            set(attacker_likes), "fb-attacker"))
     svc = ProximityService(world, policy or DisclosurePolicy())
     return world, svc
@@ -272,7 +272,7 @@ def test_category_mitigation():
                                     seed=derive_seed(seed, "mitigation-pair"),
                                     mean_likes=5.0)
         world.add_user(SimUser(ATTACKER, "Mallory", date(1990, 1, 1),
-                               stationary_trajectory(world.bbox.center, 86_400.0),
+                               stationary_trajectory(world.bbox.center),
                                set(world.catalog.top(10)), "fb-attacker"))
         population = [u for u in world.users.values() if u.user_id != ATTACKER]
         initial = set(world.users[ATTACKER].likes)
@@ -295,7 +295,7 @@ def test_poi_extraction_commuter():
         rng = random.Random(derive_seed(seed, "poi"))
         world, svc = attack_world(seed, n=2,
                                   policy=DisclosurePolicy(distance_quantum_m=100.0))
-        home = world.true_position_of(TARGET, 0.0)
+        home = world.true_position_of(TARGET)
         ang = rng.uniform(0, 2 * math.pi)
         work = from_enu(EnuPoint(5000.0 * math.cos(ang),
                                  5000.0 * math.sin(ang), home))

@@ -20,12 +20,12 @@ ATTACKER = "attacker"
 TARGET = "u00000"
 
 
-def build_scene(policy=None, target_traj=None, seed=6, span=90_000.0):
-    world = generate_population(3, 100, 1.0, seed=seed, duration_s=span)
+def build_scene(policy=None, target_traj=None, seed=6):
+    world = generate_population(3, 100, 1.0, seed=seed)
     if target_traj is not None:
         world.user(TARGET).trajectory = target_traj
     world.add_user(SimUser(ATTACKER, "Mallory", date(1990, 1, 1),
-                           stationary_trajectory(world.bbox.center, span),
+                           stationary_trajectory(world.bbox.center),
                            set(), "fb-attacker"))
     svc = ProximityService(world, policy or DisclosurePolicy())
     session = svc.login(ATTACKER)
@@ -155,8 +155,8 @@ def test_track_single_fix_when_duration_short():
 
 
 def test_track_commuter_two_clusters():
-    home_world = generate_population(3, 100, 1.0, seed=21, duration_s=90_000.0)
-    home = home_world.true_position_of(TARGET, 0.0)
+    home_world = generate_population(3, 100, 1.0, seed=21)
+    home = home_world.true_position_of(TARGET)
     work = from_enu(EnuPoint(5000.0, 0.0, home))
     traj = commuter_trajectory(home, work, 28_800.0, 1800.0, 55_000.0)
     world, svc, agent, truth = build_scene(

@@ -9,7 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from proxileak import runner
 from proxileak.cli import EXIT_CONFIG, EXIT_OK, main
+from proxileak.config import parse_scenario
+from proxileak.geo import EnuPoint, from_enu, haversine_m
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -149,6 +152,44 @@ def test_bundled_localize_scenario_golden(tmp_path):
     assert float(summary["median_error_m"]) < 100.0
 
 
+def test_poi_error_scored_over_tracked_period(tmp_path):
+    # poi_error_max_m measures each POI against the waypoints the target
+    # had reached by the last fix in track.csv.
+    scenario = ROOT / "scenarios" / "track_commuter.cfg"
+    for sets, expected in [
+        # Scored against waypoints after the track as well, this read 10.029.
+        ({"walk_step_m": "40", "track_interval_s": "1800", "seed": "7"},
+         12.044),
+        # The walk's last waypoint (60000 s) comes after the last fix.
+        ({"walk_step_m": "300", "walk_interval_s": "20000", "seed": "2"},
+         183.690),
+    ]:
+        sets = {"trajectory": "random_walk", **sets}
+        out = tmp_path / sets["seed"]
+        args = ["run", str(scenario), "--out", str(out)]
+        for kv in sets.items():
+            args += ["--set", "=".join(kv)]
+        assert main(args) == EXIT_OK
+
+        def rows(name):
+            return [line.split(",") for line in
+                    (out / name).read_text().splitlines()[1:]]
+
+        cfg = parse_scenario(scenario, sets)
+        world = runner.build_world(cfg)
+        ref = runner._coarse_prior(world.true_position_of(runner.TARGET_ID),
+                                   cfg.probe_center_offset_m, cfg.seed)
+        t_last = float(rows("track.csv")[-1][0])
+        reached = [p for t, p in
+                   world.user(runner.TARGET_ID).trajectory.waypoints
+                   if t <= t_last]
+        want = max(min(haversine_m(from_enu(EnuPoint(float(x), float(y), ref)),
+                                   p) for p in reached)
+                   for x, y, *_ in rows("pois.csv"))
+        assert float(dict(rows("summary.csv"))["poi_error_max_m"]) == want
+        assert want == pytest.approx(expected, abs=1e-3)
+
+
 def test_sweep_single_value_matches_plain_run(tmp_path):
     cfg = write_cfg(tmp_path, FAST_LOCALIZE)
     out_run, out_sweep = tmp_path / "plain", tmp_path / "sw"
@@ -180,7 +221,7 @@ def test_sweep_out_of_range_value_is_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("sets, field", [
     (["attack=track", "track_duration_s=inf"], "track_duration_s"),
     (["mean_likes=inf"], "mean_likes"),
-    (["trajectory=random_walk", "duration_s=inf"], "duration_s"),
+    (["trajectory=random_walk", "walk_interval_s=inf"], "walk_interval_s"),
     (["bbox=41,2,91,3"], "bbox"),
     (["probe_center_offset_m=2e7"], "probe_center_offset_m"),
     (["ring_radius_m=2e7"], "ring_radius_m"),

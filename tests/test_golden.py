@@ -1,123 +1,22 @@
-"""Byte-golden artifacts: each bundled scenario, run at its own seed as
-bundled and with the overrides that reach its non-default paths, must write
-exactly these bytes, whichever kernel backend and Python version runs it.
-``manifest.cfg`` is left out because it records the output directory. The
-``distance_quantum_m`` sweep over ``localize_bcn`` pins the sweep-level
-files the same way.
-"""
-
-import hashlib
-from pathlib import Path
+"""Byte-golden artifacts under pytest; the cases and digests live in
+``tests/golden.py``, which also checks them without pytest."""
 
 import pytest
 
-from proxileak.config import parse_scenario
-from proxileak.runner import run_scenario, run_sweep
-
-ROOT = Path(__file__).resolve().parents[1]
-
-GOLDEN = {
-    "localize_bcn": {
-        "localize_trials.csv": "f97f59cf16138e045dedd993eeebe971d0b05941bd29b51807f100f8f2fcf42b",
-        "probe_map.svg": "cdb6a22c01eeac2039c78dd8950d905218755572d47bba29332bc75de58fc69e",
-        "samples.csv": "28dc9bb56cc64059f51e4def53386a27f1ee78ae817d2545381549b0771849f8",
-        "summary.csv": "dad490a22578087413453016aac6a359f78af989eff1b845d0956d73c954ae15",
-        "trace_labels.csv": "4d8af05085ff5238e0b6393cd767d15bd62d4c63475dabc265bf8396c03fce3b",
-        "violations.csv": "2c941062e7c414720181dbdf7e73c1f60c08c6c77c46d38144d7e455481b68fa",
-    },
-    "track_commuter": {
-        "pois.csv": "7e9b463be29fe1fd0a244cb0f7d1b42f671b8d24703ec3c2e7e85998ab211525",
-        "summary.csv": "e45101e44735c4ce1edd7bd2aa5b06e5b0dd702d0390889ca2d98a50a12dad65",
-        "trace_labels.csv": "34c7c4a2c7a4b0d01944b4fbd1f248141c31788e9d3da7498f2ecf4f8500476d",
-        "track.csv": "0d937d12f732a7471907d57b9b5f84b9355e79faa483324c6720e47d3f8312a7",
-        "violations.csv": "5d01afe2164718b3363c7b7f3b0e1168cd454887d10ab52072204e99e560d348",
-    },
-    "identify_zipf": {
-        "identification.csv": "6b865b229394b277abd90cc0d26276e32bc27d8cf85ee2f9d6cb1779eb170857",
-        "pool_sizes.csv": "f82e503f65196ad6f23116db855cea7ad5e3918de939a43c396cac0efa625dcc",
-        "pool_sizes.svg": "77b95298a0ccbeb144d986a7a7ce916e1a66549a8b08f96507fe339d32312aa9",
-        "summary.csv": "01d15f8a8bd93b8dec701cb4bb8f47aefdd298c776f6ccb1c998c084cd60b37e",
-        "trace_labels.csv": "867527d97fd3053f2d887a3fde25fd70826bb64757556ce625b20755d291f46c",
-        "violations.csv": "a49d27c7078b24b49221f60d9fcfaa17d21cfa8cf044ce22a0d340520dcbe249",
-    },
-}
-
-
-# Non-default paths: (scenario, overrides) -> artifact digests.
-OVERRIDE_GOLDEN = {
-    ("localize_bcn", "probe_strategy=adaptive,trials=3"): {
-        "localize_trials.csv": "46c21dbb0fad077ed01255d408332bb7680ac5bf05cad360f4dc81ad602b6e6e",
-        "probe_map.svg": "a75b961c09d5e3aad162310d583492e937a1836169c18ccef451bcd927dc17e5",
-        "samples.csv": "3fff04f50c7257f89c5761257104d00df11302fff53d5f9ad193154219d671c4",
-        "summary.csv": "9a71e6b62ef0fd2686d17fa0a3127a3703c3243bd7e85828416886ba554273a9",
-        "trace_labels.csv": "4d8af05085ff5238e0b6393cd767d15bd62d4c63475dabc265bf8396c03fce3b",
-        "violations.csv": "2c941062e7c414720181dbdf7e73c1f60c08c6c77c46d38144d7e455481b68fa",
-    },
-    ("track_commuter", "trajectory=random_walk,probe_strategy=adaptive"): {
-        "pois.csv": "c639a83cfa9ad0755163c69cbb4a9524a337f7293fb8747fc1d322da30885b28",
-        "summary.csv": "b2ad8856cb2763bd1b58259368d36da70f8c558d06fc4848b5dcb7f05f0c34f4",
-        "trace_labels.csv": "34c7c4a2c7a4b0d01944b4fbd1f248141c31788e9d3da7498f2ecf4f8500476d",
-        "track.csv": "a895383c5198ae98f5536f2242826b761d78112de2cef6c6c902a42037180de5",
-        "violations.csv": "5d01afe2164718b3363c7b7f3b0e1168cd454887d10ab52072204e99e560d348",
-    },
-    ("identify_zipf", "interests_mode=categories"): {
-        "identification.csv": "e407f464f94a75bbbd72da7739da8e28f0af2ade8a44ca70d2213e49ee795ba3",
-        "pool_sizes.csv": "e5dd6a0a580edfe08274ca20ec51066818804da526b5dc68d7894676c2bc29e0",
-        "pool_sizes.svg": "6fc94c1bbd96b73ccbea187859826e262cd777de97dcf0c480eeca7137e71463",
-        "summary.csv": "1c502b8444995082b01a93cc88b938120c2ad9ea33e6737bb1377bac33e5e8ba",
-        "trace_labels.csv": "887b38fa26a488ed6e8104eea8eaa92ad5b4e8df0dc35122becbf6061b592284",
-        "violations.csv": "d7b6094c229da9f256280c8f4f04803a14bb6c8c5915a8f6ee9ecf1c1deac2cd",
-    },
-    ("identify_zipf", "policy_preset=happn"): {
-        "identification.csv": "5c685668510f6f61e7abb95dc465ff21d7ae3486055c0448488cdd7fb5790c3d",
-        "pool_sizes.csv": "179e8ed5021ac09be5be34af78c7c259b5818375c74f184aeec9edc3233152fa",
-        "pool_sizes.svg": "6fc94c1bbd96b73ccbea187859826e262cd777de97dcf0c480eeca7137e71463",
-        "summary.csv": "15599f113c27f94f39a9bf85aa4aabbac583ba658d745a2fec1d033b72827419",
-        "trace_labels.csv": "b1b3dd8b9b19e98210e25917b396cd258b2791c4e1b5da42a462d2a2bf2a82ee",
-        "violations.csv": "2163cdc84afcba04862fb617247611fa88bf8b1571b5d137d412beb6a4bc1e29",
-    },
-    ("identify_zipf", "policy_preset=grindr"): {
-        "identification.csv": "cad33c2b72692bdaddedb49d2a1059f9fea4934bc513026a5b508b7e0e32c941",
-        "pool_sizes.csv": "1b8de65389561add1a149dcecff3b193d93586105222c3422c0ea395f99622a2",
-        "pool_sizes.svg": "52c1916d97de83731378bcbe825acc6b0c63fc16477eff1bc9a35fa9917ec77b",
-        "summary.csv": "0edf1fe77519b4f97bf415adfbf8d15b49c62b5ce44088b8a5024b29b9fcf06f",
-        "trace_labels.csv": "f76da370f4b413cdecf9068f49d6b1d43fb4b6000abbeb20b79dbffb6acb8907",
-        "violations.csv": "d582980c651132d4dd589d53aa927b550a0e92d9494882d6a2c740d0758ccea5",
-    },
-}
-
-
-def _run_digests(scenario, overrides, out):
-    cfg = parse_scenario(ROOT / "scenarios" / f"{scenario}.cfg", overrides)
-    run_scenario(cfg, out)
-    return {p.relative_to(out).as_posix():
-            hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in out.rglob("*")
-            if p.is_file() and p.name != "manifest.cfg"}
+from golden import (GOLDEN, OVERRIDE_GOLDEN, SWEEP_GOLDEN, parse_overrides,
+                    run_digests, sweep_digests)
 
 
 @pytest.mark.parametrize("scenario", sorted(GOLDEN))
 def test_bundled_scenario_artifacts_are_byte_golden(scenario, tmp_path):
-    assert _run_digests(scenario, {}, tmp_path) == GOLDEN[scenario]
+    assert run_digests(scenario, {}, tmp_path) == GOLDEN[scenario]
 
 
 @pytest.mark.parametrize("scenario, overrides", sorted(OVERRIDE_GOLDEN))
 def test_override_artifacts_are_byte_golden(scenario, overrides, tmp_path):
-    sets = dict(item.split("=") for item in overrides.split(","))
-    assert (_run_digests(scenario, sets, tmp_path)
+    assert (run_digests(scenario, parse_overrides(overrides), tmp_path)
             == OVERRIDE_GOLDEN[scenario, overrides])
 
 
-SWEEP_GOLDEN = {
-    "error_vs_quantum.csv": "4ffba2273b5b0ca61521d93899f1653d5cba272e94ea2daf26c086b740ff294f",
-    "error_vs_quantum.svg": "3b36a6dc54e4a3feca28ed29bdb44588618fa8ab885c8c8e772b63e6aa49aaec",
-    "sweep.csv": "f1b7c377f2b667df8b6ef1c060afa08515960402ef83cd252db8af05d4dc22ab",
-}
-
-
 def test_quantum_sweep_artifacts_are_byte_golden(tmp_path):
-    cfg = parse_scenario(ROOT / "scenarios" / "localize_bcn.cfg")
-    run_sweep(cfg, "distance_quantum_m", ["10", "50", "100"], tmp_path)
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in tmp_path.iterdir() if p.is_file()}
-    assert digests == SWEEP_GOLDEN
+    assert sweep_digests(tmp_path) == SWEEP_GOLDEN

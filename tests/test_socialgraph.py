@@ -16,7 +16,7 @@ from proxileak.report import write_csv
 
 
 def user(social, name, year, likes, uid=None):
-    traj = stationary_trajectory(GeoPoint(41.4, 2.15), 1e6)
+    traj = stationary_trajectory(GeoPoint(41.4, 2.15))
     return SimUser(uid or social, name, date(year, 6, 1), traj, set(likes), social)
 
 
@@ -136,7 +136,7 @@ def test_identify_pool_subset_invariant_and_soundness():
     # service-backed loop over a synthetic population with fuzzy birthdates
     world = generate_population(400, 300, 1.0, seed=17, mean_likes=5.0)
     world.add_user(SimUser("attacker", "Mallory", date(1990, 1, 1),
-                           stationary_trajectory(world.bbox.center, 86_400.0),
+                           stationary_trajectory(world.bbox.center),
                            set(world.catalog.top(10)), "fb-attacker"))
     svc = ProximityService(world, DisclosurePolicy())  # tinder-like defaults
     session = svc.login("attacker")
@@ -165,7 +165,7 @@ def test_identify_pool_subset_invariant_and_soundness():
 def test_categories_mode_weaker_than_pages():
     world = generate_population(2000, 500, 1.0, seed=23, mean_likes=5.0)
     world.add_user(SimUser("attacker", "Mallory", date(1990, 1, 1),
-                           stationary_trajectory(world.bbox.center, 86_400.0),
+                           stationary_trajectory(world.bbox.center),
                            set(world.catalog.top(10)), "fb-attacker"))
     population = [u for u in world.users.values() if u.user_id != "attacker"]
     initial = set(world.user("attacker").likes)
@@ -196,7 +196,7 @@ def test_categories_mode_weaker_than_pages():
 # large enough that refinement runs several rounds.
 NAMES = ["Ann", "ann", "ANN", "Bob", "Cy"]
 PAGES = [f"p{i}" for i in range(8)]
-TRAJ = stationary_trajectory(GeoPoint(41.4, 2.15), 1e6)
+TRAJ = stationary_trajectory(GeoPoint(41.4, 2.15))
 MOSTLY = st.sampled_from([True, True, True, False])
 
 

@@ -6,7 +6,7 @@ from scipy.stats import chi2
 
 from proxileak.geo import CoordinateError, GeoPoint, haversine_m
 from proxileak.world import (DEFAULT_BBOX, BoundingBox, DisclosurePolicy,
-                             POLICY_PRESETS, Trajectory, TrajectoryRangeError,
+                             POLICY_PRESETS, Trajectory,
                              commuter_trajectory, fuzz_birthdate,
                              generate_population, quantize_distance,
                              stationary_trajectory)
@@ -126,17 +126,19 @@ def test_trajectory_knot_exactness_and_midpoint(bcn):
 
 
 def test_trajectory_stationary(bcn):
-    traj = stationary_trajectory(bcn, 1000.0)
-    for t in (0.0, 123.4, 1000.0):
+    traj = stationary_trajectory(bcn)
+    assert traj.waypoints == [(0.0, bcn)]
+    for t in (0.0, 123.4, 1e9):
         assert traj.position_at(t) == bcn
 
 
-def test_trajectory_span_errors(bcn):
-    traj = stationary_trajectory(bcn, 10.0)
-    with pytest.raises(TrajectoryRangeError):
-        traj.position_at(-0.1)
-    with pytest.raises(TrajectoryRangeError):
-        traj.position_at(10.1)
+def test_trajectory_holds_its_ends(bcn):
+    b = GeoPoint(bcn.lat_deg + 0.01, bcn.lon_deg)
+    traj = Trajectory([(10.0, bcn), (20.0, b)])
+    for t in (-1e9, -0.1, 0.0, 9.9, 10.0):
+        assert traj.position_at(t) == bcn
+    for t in (20.0, 20.1, 1e9, math.inf):
+        assert traj.position_at(t) == b
     with pytest.raises(ValueError):
         Trajectory([(1.0, bcn), (1.0, bcn)])
 
@@ -158,7 +160,7 @@ def test_random_walk_stays_in_bbox_and_steps(bcn):
     rng = _random.Random(3)
     start = DEFAULT_BBOX.center
     traj = random_walk_trajectory(start, 400.0, 600.0, 40, rng, DEFAULT_BBOX)
-    assert traj.span == (0.0, 24_000.0)
+    assert traj.waypoints[-1][0] == 24_000.0
     prev = start
     for t, p in traj.waypoints[1:]:
         assert DEFAULT_BBOX.lat_min <= p.lat_deg <= DEFAULT_BBOX.lat_max
