@@ -125,13 +125,10 @@ class Attacker:
         if entry.distance_m is None:
             raise PolicyBlockedError(
                 "service does not share distances; localization is impossible")
-        obs = to_enu(probe, self.ref)
         t = entry.last_active_t
-        self.trace.append(TraceEvent("probe", t, target_id,
-                                     {"x_m": obs.x_m, "y_m": obs.y_m}))
-        self.trace.append(TraceEvent("profile_poll", t, target_id,
-                                     {"distance_m": entry.distance_m}))
-        return DistanceSample(obs, entry.distance_m, t,
+        self.trace.append(TraceEvent("probe", t, target_id))
+        self.trace.append(TraceEvent("profile_poll", t, target_id))
+        return DistanceSample(to_enu(probe, self.ref), entry.distance_m, t,
                               self.service.policy.distance_quantum_m)
 
     def collect_samples(self, target_id: str,
@@ -142,32 +139,29 @@ class Attacker:
 
     def localize(self, target_id: str, plan: ProbePlan,
                  cfg: SolverConfig) -> PositionEstimate:
-        """One position fix: execute the plan, solve over all samples."""
-        if plan.strategy == "ring":
-            pts = ring_points(plan.center, plan.ring_radius_m, plan.count,
-                              plan.angle0_rad)
-            samples = self.collect_samples(target_id, pts)
-        else:  # adaptive: re-center and tighten round by round
-            samples = []
-            center = plan.center
-            radius = plan.ring_radius_m
-            rounds = min(ADAPTIVE_ROUNDS, plan.count // 3)
-            per_round = max(3, plan.count // rounds)
-            remaining = plan.count
-            for r in range(rounds):
-                n = per_round if r < rounds - 1 else remaining
-                samples += self.collect_samples(
-                    target_id, ring_points(center, radius, n, plan.angle0_rad))
-                remaining -= n
-                est = multilaterate(samples, cfg)
-                center = from_enu(est.p_hat)
+        """One position fix: sample the plan's rings, solve over all samples.
+
+        A ring plan is one round of ``count`` probes. An adaptive plan
+        spreads them over its rounds; before each later round it solves
+        over the samples so far, re-centers on that estimate and halves
+        the radius (down to 50 m). The last round takes the remainder.
+        """
+        rounds = (1 if plan.strategy == "ring"
+                  else min(ADAPTIVE_ROUNDS, plan.count // 3))
+        per_round = plan.count // rounds
+        center, radius = plan.center, plan.ring_radius_m
+        samples: list[DistanceSample] = []
+        for r in range(rounds):
+            if r > 0:
+                center = from_enu(multilaterate(samples, cfg).p_hat)
                 radius = max(radius / 2.0, 50.0)
+            n = per_round if r < rounds - 1 else plan.count - per_round * r
+            samples += self.collect_samples(
+                target_id, ring_points(center, radius, n, plan.angle0_rad))
         est = multilaterate(samples, cfg)
         self.last_samples = samples
-        self.trace.append(TraceEvent(
-            "localize_result", samples[-1].t, target_id,
-            {"x_m": est.p_hat.x_m, "y_m": est.p_hat.y_m,
-             "residual": est.residual, "n_samples": est.samples_used}))
+        self.trace.append(TraceEvent("localize_result", samples[-1].t,
+                                     target_id))
         return est
 
     def track(self, target_id: str, interval_s: float, duration_s: float,
@@ -186,7 +180,7 @@ class Attacker:
         if self._advance is None:
             raise ValueError("tracking needs the scenario clock hook")
         record = TrackRecord(target_id)
-        n_fixes = 1 + int(duration_s // interval_s) if duration_s >= interval_s else 1
+        n_fixes = 1 + int(duration_s // interval_s)
         current = plan
         for k in range(n_fixes):
             if k > 0:

@@ -1,12 +1,12 @@
 """Command-line entry points.
 
   proxileak run <cfg> [--seed N] [--out DIR] [--set key=value ...]
-  proxileak serve <cfg> --port P
+  proxileak serve <cfg> --port P [--seed N] [--set key=value ...]
   proxileak sweep <cfg> --param K --values a,b,c [--parallel N] [...]
 
 Exit codes: 0 success, 2 configuration error, 3 attack/runtime error.
-The output directory resolves as --out, else $PROXILEAK_OUT, else the
-config's ``out_dir``.
+The output directory of run and sweep resolves as --out, else
+$PROXILEAK_OUT, else the config's ``out_dir``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import signal
 import sys
 from pathlib import Path
 
-from .config import ConfigError, parse_scenario
+from .config import ConfigError, ScenarioConfig, parse_scenario
 from .runner import build_service, run_scenario, run_sweep
 
 EXIT_OK = 0
@@ -37,18 +37,20 @@ def _parse_sets(values: list[str]) -> dict[str, str]:
     return out
 
 
-def _load(args) -> tuple:
+def _load(args) -> ScenarioConfig:
     overrides = _parse_sets(args.set or [])
     if args.seed is not None:
         overrides["seed"] = str(args.seed)
-    cfg = parse_scenario(Path(args.config), overrides)
-    out = args.out or os.environ.get(OUT_ENV) or cfg.out_dir
-    return cfg, out
+    return parse_scenario(Path(args.config), overrides)
+
+
+def _out_dir(args, cfg: ScenarioConfig) -> str:
+    return args.out or os.environ.get(OUT_ENV) or cfg.out_dir
 
 
 def _cmd_run(args) -> int:
-    cfg, out = _load(args)
-    result = run_scenario(cfg, out)
+    cfg = _load(args)
+    result = run_scenario(cfg, _out_dir(args, cfg))
     for key in sorted(result.metrics):
         print(f"{key} = {result.metrics[key]}")
     print(f"artifacts written to {result.out_dir}")
@@ -56,11 +58,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg, out = _load(args)
+    cfg = _load(args)
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("no sweep values given", field="--values")
-    result = run_sweep(cfg, args.param, values, out, parallel=args.parallel)
+    result = run_sweep(cfg, args.param, values, _out_dir(args, cfg),
+                       parallel=args.parallel)
     print(f"swept {args.param} over {len(values)} values; "
           f"aggregate at {result.out_dir / 'sweep.csv'}")
     return EXIT_OK
@@ -71,7 +74,7 @@ def _cmd_serve(args) -> int:
 
     if not 0 <= args.port <= 65535:
         raise ConfigError(f"must be in 0..65535: {args.port}", field="--port")
-    cfg, _ = _load(args)
+    cfg = _load(args)
     try:
         server = ServiceServer(build_service(cfg, cfg.seed), port=args.port)
     except OSError as exc:
@@ -108,7 +111,6 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument("config")
     p_serve.add_argument("--port", type=int, required=True)
     p_serve.add_argument("--seed", type=int)
-    p_serve.add_argument("--out")
     p_serve.add_argument("--set", action="append", metavar="KEY=VALUE")
     p_serve.set_defaults(func=_cmd_serve)
 

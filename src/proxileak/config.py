@@ -11,7 +11,10 @@ finite: ``inf`` is accepted only for ``teleport_limit_m`` and
 ``commute_distance_m``, ``walk_step_m``, ``ring_radius_m`` and
 ``probe_center_offset_m`` must stay below the 100 km tangent-plane range
 of ``geo``. The bounding box must have positive extent, latitudes in
-[-90, 90] and longitudes in [-180, 180].
+[-90, 90] and longitudes in [-180, 180]. ``track_duration_s`` must be
+below 366 days, and may span at most ``MAX_TRACK_STEPS`` intervals of
+``walk_interval_s`` and of ``track_interval_s``; a finer interval is
+reported on its own key.
 The fully resolved configuration (defaults included) can be rendered back
 out as a manifest, byte-stable for fixed inputs.
 
@@ -70,6 +73,10 @@ __all__ = ["ConfigError", "ScenarioConfig", "parse_scenario", "render_manifest",
 
 SWEEPABLE_PARAMS = ("distance_quantum_m", "probe_count", "identify_batch_size",
                     "interests_mode")
+
+# Most intervals track_duration_s may span: a track takes at most one fix
+# more, a random walk at most this many steps.
+MAX_TRACK_STEPS = 10**6
 
 
 class ConfigError(ValueError):
@@ -160,12 +167,12 @@ class ScenarioConfig:
     probe_count: int = _key(16, ge=3)
     ring_radius_m: float = _key(1000.0, gt=0, lt=MAX_TANGENT_RANGE_M)
     probe_center_offset_m: float = _key(250.0, ge=0, lt=MAX_TANGENT_RANGE_M)
-    solver_norm: str = _key("l1", choices=SOLVER_NORMS)
+    solver_norm: str = _key("l1", choices=tuple(SOLVER_NORMS))
     solver_max_iterations: int = _key(200, ge=1)
     solver_step_init_m: float = _key(500.0, gt=0)
     solver_tol_m: float = _key(0.01, gt=0)
     track_interval_s: float = _key(3600.0, gt=0)
-    track_duration_s: float = _key(57_600.0, ge=0)
+    track_duration_s: float = _key(57_600.0, ge=0, lt=366 * 86_400.0)
     poi_radius_m: float = _key(200.0, gt=0)
     poi_min_dwell_s: float = _key(7200.0, ge=0)
     identify_max_rounds: int = _key(10, ge=1)
@@ -210,12 +217,18 @@ def _check(f, v) -> None:
 
 
 def validate(cfg: ScenarioConfig) -> ScenarioConfig:
-    """Check every key's constraint in field order; the first failure raises."""
+    """Check every key's constraint in field order, then the step count of
+    the track and of the walk; the first failure raises."""
     for f in fields(cfg):
         try:
             _check(f, getattr(cfg, f.name))
         except ValueError as exc:
             raise ConfigError(str(exc), field=f.name) from None
+    for key in ("walk_interval_s", "track_interval_s"):
+        steps = cfg.track_duration_s / getattr(cfg, key)
+        if not steps <= MAX_TRACK_STEPS:
+            raise ConfigError(f"track_duration_s / {key} must be <= "
+                              f"{MAX_TRACK_STEPS}, got {steps!r}", field=key)
     return cfg
 
 

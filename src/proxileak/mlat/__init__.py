@@ -32,7 +32,8 @@ __all__ = [
     "backend_name", "SOLVER_NORMS",
 ]
 
-SOLVER_NORMS = ("l1", "l2")  # mean absolute, mean squared residual
+# Norm name -> kernel code: mean absolute, mean squared residual.
+SOLVER_NORMS = {"l1": NORM_L1, "l2": NORM_L2}
 
 # Observer spread below this singular-value ratio is treated as collinear.
 COLLINEARITY_RTOL = 1e-6
@@ -44,6 +45,13 @@ class UnderdeterminedError(ValueError):
 
 class DegenerateGeometryError(ValueError):
     """Observers are (near-)collinear, so two mirror solutions exist."""
+
+
+def _norm_code(norm: str) -> int:
+    try:
+        return SOLVER_NORMS[norm.lower()]
+    except KeyError:
+        raise ValueError(f"norm must be 'l1' or 'l2': {norm!r}") from None
 
 
 @dataclass(frozen=True)
@@ -81,8 +89,7 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.norm.lower() not in SOLVER_NORMS:
-            raise ValueError(f"norm must be 'l1' or 'l2': {self.norm!r}")
+        _norm_code(self.norm)
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.tol_m <= 0.0:
@@ -92,7 +99,7 @@ class SolverConfig:
 
     @property
     def norm_code(self) -> int:
-        return NORM_L1 if self.norm.lower() == "l1" else NORM_L2
+        return _norm_code(self.norm)
 
 
 @dataclass(frozen=True)
@@ -100,7 +107,6 @@ class PositionEstimate:
     p_hat: EnuPoint
     residual: float
     iterations_used: int
-    samples_used: int
 
 
 def backend_name() -> str:
@@ -123,15 +129,14 @@ def objective(p: EnuPoint, samples: Sequence[DistanceSample], norm: str = "l1") 
     """Mean residual norm of ``p`` against the samples.
 
     l1: mean over samples of |dist(p, observer_i) - reported_i|;
-    l2: mean of the squared residuals.
+    l2: mean of the squared residuals. Any other norm raises ValueError.
     """
     if not samples:
         raise ValueError("objective needs at least one sample")
     xs, ys, ds, ref = _as_arrays(samples)
     if p.ref != ref:
         raise ValueError("point and samples must share one ENU reference")
-    code = NORM_L1 if norm.lower() == "l1" else NORM_L2
-    return _impl.objective_value(xs, ys, ds, p.x_m, p.y_m, code)
+    return _impl.objective_value(xs, ys, ds, p.x_m, p.y_m, _norm_code(norm))
 
 
 def _spread_singular_values(xs, ys, cx: float, cy: float) -> tuple[float, float]:
@@ -226,7 +231,6 @@ def multilaterate(samples: Sequence[DistanceSample], cfg: SolverConfig) -> Posit
         p_hat=EnuPoint(x + cx, y + cy, ref),
         residual=f,
         iterations_used=it,
-        samples_used=n,
     )
 
 

@@ -12,7 +12,7 @@ Every CSV goes through ``write_csv``, every file through ``_write``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -22,9 +22,6 @@ __all__ = [
     "TraceEvent", "AttackTrace", "ViolationReport", "TAXONOMY",
     "DEFAULT_EVENT_LABELS", "classify", "emit",
 ]
-
-EVENT_KINDS = ("probe", "profile_poll", "localize_result", "identify_round",
-               "export")
 
 # Category -> closed activity vocabulary.
 TAXONOMY: dict[str, tuple[str, ...]] = {
@@ -36,6 +33,8 @@ TAXONOMY: dict[str, tuple[str, ...]] = {
     "Invasion": ("Intrusion of someone's private life",),
 }
 
+# Trace event kind -> the labels every event of that kind gets. Its keys
+# are the whole event vocabulary.
 DEFAULT_EVENT_LABELS: dict[str, tuple[tuple[str, str], ...]] = {
     "probe": (("Collection", "Surveillance"),),
     "profile_poll": (("Collection", "Surveillance"),),
@@ -54,10 +53,9 @@ class TraceEvent:
     kind: str
     t: float
     target_id: str | None = None
-    detail: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in EVENT_KINDS:
+        if self.kind not in DEFAULT_EVENT_LABELS:
             raise ValueError(f"unknown trace event kind {self.kind!r}")
 
 
@@ -86,8 +84,6 @@ class ViolationReport:
     # (event index, event kind, category, activity) per assigned label
     labels: list[tuple[int, str, str, str]]
     tallies: dict[tuple[str, str], int]
-    category_totals: dict[str, int]
-    unlabeled_activities: list[tuple[str, str]]
 
 
 def classify(trace: AttackTrace) -> ViolationReport:
@@ -101,7 +97,7 @@ def classify(trace: AttackTrace) -> ViolationReport:
     tallies: dict[tuple[str, str], int] = {}
     seen_localizations: dict[str, int] = {}
     for idx, ev in enumerate(trace.events):
-        ev_labels = list(DEFAULT_EVENT_LABELS.get(ev.kind, ()))
+        ev_labels = list(DEFAULT_EVENT_LABELS[ev.kind])
         if ev.kind == "localize_result" and ev.target_id is not None:
             seen_localizations[ev.target_id] = seen_localizations.get(ev.target_id, 0) + 1
             if seen_localizations[ev.target_id] >= 2:
@@ -109,12 +105,7 @@ def classify(trace: AttackTrace) -> ViolationReport:
         for cat, act in ev_labels:
             labels.append((idx, ev.kind, cat, act))
             tallies[(cat, act)] = tallies.get((cat, act), 0) + 1
-    category_totals: dict[str, int] = {c: 0 for c in TAXONOMY}
-    for (cat, _), n in tallies.items():
-        category_totals[cat] += n
-    unlabeled = [(c, a) for c, acts in TAXONOMY.items() for a in acts
-                 if (c, a) not in tallies]
-    return ViolationReport(labels, tallies, category_totals, unlabeled)
+    return ViolationReport(labels, tallies)
 
 
 # -- artifact emission -------------------------------------------------------
@@ -287,17 +278,17 @@ def write_violations(report: ViolationReport, out_dir: Path) -> None:
               report.labels)
 
 
-def emit(out_dir: Path, trace: AttackTrace, artifact: str, *,
-         probe_map=None, pool_rows=None) -> None:
-    """End an attack run: log the export of ``artifact`` in ``trace``, then
-    write the trace's violation tables and whichever plots are provided
-    into ``out_dir``.
+def emit(out_dir: Path, trace: AttackTrace, *, probe_map=None,
+         pool_rows=None) -> None:
+    """End an attack run: log the export in ``trace``, then write the
+    trace's violation tables and whichever plots are provided into
+    ``out_dir``.
 
     ``probe_map`` is a (samples, estimate, truth_xy) triple. Identical
     inputs produce byte-identical files.
     """
     t = trace.events[-1].t if trace.events else 0.0
-    trace.append(TraceEvent("export", t, None, {"artifact": artifact}))
+    trace.append(TraceEvent("export", t))
     write_violations(classify(trace), out_dir)
     if probe_map is not None:
         samples, estimate, truth_xy = probe_map

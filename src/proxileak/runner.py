@@ -168,7 +168,7 @@ def _run_localize(cfg: ScenarioConfig, out: Path) -> RunResult:
     report.write_csv(out / "localize_trials.csv",
                      ("trial", "seed", "error_m", "residual_m", "iterations"),
                      rows)
-    report.emit(out, trace, "localize_trials.csv", probe_map=probe_map)
+    report.emit(out, trace, probe_map=probe_map)
     errors = [r[2] for r in rows]
     metrics = {
         "trials": cfg.trials,
@@ -194,7 +194,7 @@ def _run_track(cfg: ScenarioConfig, out: Path) -> RunResult:
                      ("x_m", "y_m", "dwell_s", "t_start", "t_end", "n_fixes"),
                      ((p.center.x_m, p.center.y_m, p.dwell_s, p.t_start,
                        p.t_end, p.n_fixes) for p in record.pois))
-    report.emit(out, trace, "track.csv")
+    report.emit(out, trace)
     metrics = {
         "n_fixes": len(record.estimates),
         "n_gaps": len(record.gaps),
@@ -246,7 +246,7 @@ def _run_identify(cfg: ScenarioConfig, out: Path) -> RunResult:
                      ("seed", "rounds_used", "final_pool", "identified"),
                      ((seed, r.rounds_used, r.pool_sizes[-1], int(r.identified))
                       for seed, r in rows))
-    report.emit(out, trace, "identification.csv", pool_rows=pool_rows)
+    report.emit(out, trace, pool_rows=pool_rows)
     metrics = {
         "victims": len(victim_ids),
         "identification_rate": hits / len(victim_ids),

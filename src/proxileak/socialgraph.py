@@ -13,10 +13,10 @@ account.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from datetime import date, timedelta
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .report import AttackTrace, TraceEvent
 from .service import NearbyEntry
@@ -32,18 +32,20 @@ __all__ = [
 class GraphQuery:
     """Conjunctive profile filter; unset fields do not constrain.
 
-    The empty query is the documented match-all case.
+    ``birth_years`` admits a user born in any of its years. The empty query
+    is the documented match-all case.
     """
 
     name: str | None = None
-    birth_year: int | None = None
+    birth_years: frozenset[int] | None = None
     liked_pages: frozenset[str] = frozenset()
 
 
 def _matches(user: SimUser, q: GraphQuery) -> bool:
     if q.name is not None and user.first_name.lower() != q.name.lower():
         return False
-    if q.birth_year is not None and user.true_birthdate.year != q.birth_year:
+    if (q.birth_years is not None
+            and user.true_birthdate.year not in q.birth_years):
         return False
     return q.liked_pages <= user.likes
 
@@ -68,11 +70,6 @@ class SocialGraph:
             for page in u.likes:
                 self._by_page[page].append(u)
 
-    @classmethod
-    def of(cls, population: Iterable[SimUser]) -> SocialGraph:
-        """``population`` itself if already indexed, else a new index."""
-        return population if isinstance(population, cls) else cls(population)
-
     def __iter__(self) -> Iterator[SimUser]:
         return iter(self.users)
 
@@ -90,29 +87,22 @@ class SocialGraph:
         return [u for u in start if _matches(u, q)]
 
 
-def forward_search(population: Iterable[SimUser], q: GraphQuery) -> set[str]:
+def forward_search(graph: SocialGraph, q: GraphQuery) -> set[str]:
     """Social ids of every account matching all set fields."""
-    return {u.social_id for u in SocialGraph.of(population).matching(q)}
+    return {u.social_id for u in graph.matching(q)}
 
 
-def reverse_search(population: Iterable[SimUser], q: GraphQuery) -> set[str]:
+def reverse_search(graph: SocialGraph, q: GraphQuery) -> set[str]:
     """Pages liked by matching accounts, minus the query's own pages."""
-    return _liked_by(SocialGraph.of(population).matching(q)) - q.liked_pages
+    return set().union(*(u.likes for u in graph.matching(q))) - q.liked_pages
 
 
-def _liked_by(users: Iterable[SimUser]) -> set[str]:
-    pages: set[str] = set()
-    for u in users:
-        pages |= u.likes
-    return pages
-
-
-def candidate_birth_years(disclosed: date, fuzzy: bool) -> set[int]:
+def candidate_birth_years(disclosed: date, fuzzy: bool) -> frozenset[int]:
     """Years the true birthdate may fall in, given the disclosed one."""
     if not fuzzy:
-        return {disclosed.year}
-    return {(disclosed + timedelta(days=d)).year
-            for d in range(-FUZZ_WINDOW_DAYS, FUZZ_WINDOW_DAYS + 1)}
+        return frozenset([disclosed.year])
+    return frozenset((disclosed + timedelta(days=d)).year
+                     for d in range(-FUZZ_WINDOW_DAYS, FUZZ_WINDOW_DAYS + 1))
 
 
 @dataclass(frozen=True)
@@ -132,17 +122,7 @@ class IdentificationResult:
     pools: list[CandidatePool] = field(default_factory=list)
 
 
-def _pool(graph: SocialGraph, name: str | None, years: set[int] | None,
-          pages: set[str]) -> list[SimUser]:
-    """Users matching the name and pages, born in one of ``years``."""
-    users = graph.matching(GraphQuery(name, None, frozenset(pages)))
-    if years is None:
-        return users
-    return [u for u in users if u.true_birthdate.year in years]
-
-
-def identify(victim_view: NearbyEntry,
-             population: Sequence[SimUser] | SocialGraph,
+def identify(victim_view: NearbyEntry, graph: SocialGraph,
              max_rounds: int = 10, batch_size: int = 10,
              like_and_refresh: Callable[[set[str]], NearbyEntry] | None = None,
              interests_are_pages: bool = True,
@@ -157,12 +137,10 @@ def identify(victim_view: NearbyEntry,
     starts from the whole population, still filtered by the birth year when
     one is shown. The true account is never dropped from the pool as
     long as the disclosed fields are truthful, and pools only ever shrink.
-    Pass a :class:`SocialGraph` to share one index across many victims; a
-    plain sequence is indexed for this call.
+    One ``graph`` serves any number of victims.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
-    graph = SocialGraph.of(population)
 
     if victim_view.social_id is not None:
         return IdentificationResult(victim_view.social_id, [1], 0, True, False,
@@ -175,13 +153,13 @@ def identify(victim_view: NearbyEntry,
     if victim_view.fuzzy_birthdate is not None:
         years = candidate_birth_years(victim_view.fuzzy_birthdate, birthdate_is_fuzzy)
 
-    matched = _pool(graph, name, years, known)
+    matched = graph.matching(GraphQuery(name, years, frozenset(known)))
     pool = {u.social_id for u in matched}
     pools = [CandidatePool(0, frozenset(pool), frozenset(known))]
     pool_sizes = [len(pool)]
     if trace is not None:
         trace.append(TraceEvent("identify_round", victim_view.last_active_t,
-                                victim_view.user_id, {"round": 0, "pool": len(pool)}))
+                                victim_view.user_id))
 
     tried = set(known)
     rounds_used = 0
@@ -194,32 +172,27 @@ def identify(victim_view: NearbyEntry,
             break
         # The pool was matched against the current ``known``, so the pages
         # its users like are exactly what reverse search would return.
-        candidates = _liked_by(matched) - known - tried
-        if not candidates:
+        freq = Counter(p for u in matched for p in u.likes
+                       if p not in known and p not in tried)
+        if not freq:
             stalled = True
             break
         # Prefer pages that split the pool most evenly; deterministic ties.
-        freq = {p: 0 for p in candidates}
-        for u in matched:
-            for p in u.likes:
-                if p in freq:
-                    freq[p] += 1
         half = len(pool) / 2.0
-        batch = set(sorted(candidates,
-                           key=lambda p: (abs(freq[p] - half), p))[:batch_size])
+        batch = set(sorted(freq, key=lambda p: (abs(freq[p] - half), p))
+                    [:batch_size])
         tried |= batch
         view = like_and_refresh(batch)
         confirmed = set(view.common_likes or ())  # full intersection, fresh
         known |= confirmed
-        matched = _pool(graph, name, years, known)
+        matched = graph.matching(GraphQuery(name, years, frozenset(known)))
         pool = {u.social_id for u in matched}
         rounds_used = rnd
         pool_sizes.append(len(pool))
         pools.append(CandidatePool(rnd, frozenset(pool), frozenset(known)))
         if trace is not None:
             trace.append(TraceEvent("identify_round", view.last_active_t,
-                                    victim_view.user_id,
-                                    {"round": rnd, "pool": len(pool)}))
+                                    victim_view.user_id))
 
     identified = len(pool) == 1
     social_id = next(iter(pool)) if identified else None

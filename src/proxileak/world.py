@@ -15,6 +15,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from datetime import date, timedelta
+from itertools import islice
 
 from .geo import CoordinateError, EnuPoint, GeoPoint, from_enu, to_enu
 
@@ -47,6 +48,12 @@ BIRTH_RANGE = (date(1965, 1, 1), date(2004, 12, 31))
 FUZZ_WINDOW_DAYS = 7  # offsets drawn uniformly from {-7, ..., +7}
 
 MAX_LIKES_PER_USER = 64
+
+# Rank-weighted draws ``PageCatalog.sample_likes`` spends per requested
+# page. Under a steep zipf_s the weights of low ranks vanish in the float
+# cumulative sum, so those pages can never be drawn; past this budget the
+# remaining slots go to the best-ranked pages not yet chosen.
+MAX_DRAWS_PER_LIKE = 100
 
 BIRTHDATE_MODES = ("exact", "fuzzy_15d", "hidden")
 INTERESTS_MODES = ("pages", "categories", "hidden")
@@ -152,14 +159,19 @@ class PageCatalog:
         return [p.page_id for p in self.pages[:n]]
 
     def sample_likes(self, count: int, rng: random.Random) -> set[str]:
-        """``count`` distinct pages, rank-weighted by rank**-zipf_s."""
+        """``count`` distinct pages, rank-weighted by rank**-zipf_s, within
+        the draw budget of ``MAX_DRAWS_PER_LIKE``."""
         count = min(count, len(self.pages))
         cum = self._cum
         chosen: set[str] = set()
-        while len(chosen) < count:
+        for _ in range(MAX_DRAWS_PER_LIKE * count):
+            if len(chosen) == count:
+                return chosen
             u = rng.random() * cum[-1]
             idx = bisect.bisect_left(cum, u)
             chosen.add(self.pages[min(idx, len(self.pages) - 1)].page_id)
+        ranked = (p.page_id for p in self.pages if p.page_id not in chosen)
+        chosen.update(islice(ranked, count - len(chosen)))
         return chosen
 
 

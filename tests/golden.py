@@ -68,6 +68,30 @@ OVERRIDE_GOLDEN = {
         "track.csv": "a895383c5198ae98f5536f2242826b761d78112de2cef6c6c902a42037180de5",
         "violations.csv": "5d01afe2164718b3363c7b7f3b0e1168cd454887d10ab52072204e99e560d348",
     },
+    ("localize_bcn", "solver_norm=l2"): {
+        "localize_trials.csv": "07d718aa1dd6fb99ba7e959b7a8df865b5054b0dde2c61b9d346d65125b49f28",
+        "probe_map.svg": "6903b70ab136037ea5e7b429077cb30ad53321d2df000a1c2a3aaa08a99fb53b",
+        "samples.csv": "28dc9bb56cc64059f51e4def53386a27f1ee78ae817d2545381549b0771849f8",
+        "summary.csv": "f760cb14b6d8509a5ad9e596637f8a8f8796ae9e4e31a9f2c3d16b35a36ec330",
+        "trace_labels.csv": "4d8af05085ff5238e0b6393cd767d15bd62d4c63475dabc265bf8396c03fce3b",
+        "violations.csv": "2c941062e7c414720181dbdf7e73c1f60c08c6c77c46d38144d7e455481b68fa",
+    },
+    ("identify_zipf", "birthdate_mode=exact"): {
+        "identification.csv": "403cf4d0f3a3297491c78b1d9d8cf5c6d043b86e1994b707159141eee79e6d79",
+        "pool_sizes.csv": "7bb04a4b6822a19a7c2fc3d2ac3c57fd4be073195735900f66b32d997f726921",
+        "pool_sizes.svg": "77b95298a0ccbeb144d986a7a7ce916e1a66549a8b08f96507fe339d32312aa9",
+        "summary.csv": "74d0e93edf68e8a9a6e5ed6e66e7683c0f5a4cf8506c237219740dfd31e65d23",
+        "trace_labels.csv": "ec170323eb8ade071669da10367ecc66340386c52dfc6ee383d056f761e48226",
+        "violations.csv": "61cd9c3b2ee8d93ab5d56a79810f6d4fceee7fd4e0278c38db0de883521f35a3",
+    },
+    ("identify_zipf", "interests_mode=hidden"): {
+        "identification.csv": "e407f464f94a75bbbd72da7739da8e28f0af2ade8a44ca70d2213e49ee795ba3",
+        "pool_sizes.csv": "e5dd6a0a580edfe08274ca20ec51066818804da526b5dc68d7894676c2bc29e0",
+        "pool_sizes.svg": "6fc94c1bbd96b73ccbea187859826e262cd777de97dcf0c480eeca7137e71463",
+        "summary.csv": "1c502b8444995082b01a93cc88b938120c2ad9ea33e6737bb1377bac33e5e8ba",
+        "trace_labels.csv": "887b38fa26a488ed6e8104eea8eaa92ad5b4e8df0dc35122becbf6061b592284",
+        "violations.csv": "d7b6094c229da9f256280c8f4f04803a14bb6c8c5915a8f6ee9ecf1c1deac2cd",
+    },
     ("identify_zipf", "interests_mode=categories"): {
         "identification.csv": "e407f464f94a75bbbd72da7739da8e28f0af2ade8a44ca70d2213e49ee795ba3",
         "pool_sizes.csv": "e5dd6a0a580edfe08274ca20ec51066818804da526b5dc68d7894676c2bc29e0",

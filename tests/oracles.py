@@ -132,12 +132,12 @@ def brute_nearby(world, requester_id, radius_m, haversine):
     return set(out)
 
 
-def brute_forward(population, name, birth_year, liked_pages):
+def brute_forward(population, name, birth_years, liked_pages):
     out = set()
     for u in population:
         if name is not None and u.first_name.lower() != name.lower():
             continue
-        if birth_year is not None and u.true_birthdate.year != birth_year:
+        if birth_years is not None and u.true_birthdate.year not in birth_years:
             continue
         if not set(liked_pages) <= u.likes:
             continue
@@ -145,26 +145,17 @@ def brute_forward(population, name, birth_year, liked_pages):
     return out
 
 
-def brute_reverse(population, name, birth_year, liked_pages):
+def brute_reverse(population, name, birth_years, liked_pages):
     pages = set()
     for u in population:
         if name is not None and u.first_name.lower() != name.lower():
             continue
-        if birth_year is not None and u.true_birthdate.year != birth_year:
+        if birth_years is not None and u.true_birthdate.year not in birth_years:
             continue
         if not set(liked_pages) <= u.likes:
             continue
         pages |= u.likes
     return pages - set(liked_pages)
-
-
-def _brute_pool(population, name, years, pages):
-    if years is None:
-        return brute_forward(population, name, None, pages)
-    out = set()
-    for y in sorted(years):
-        out |= brute_forward(population, name, y, pages)
-    return out
 
 
 def brute_identify(victim_view, population, max_rounds=10, batch_size=10,
@@ -187,7 +178,7 @@ def brute_identify(victim_view, population, max_rounds=10, batch_size=10,
     if victim_view.fuzzy_birthdate is not None:
         years = candidate_birth_years(victim_view.fuzzy_birthdate, birthdate_is_fuzzy)
 
-    pool = _brute_pool(population, name, years, known)
+    pool = brute_forward(population, name, years, known)
     pools = [CandidatePool(0, frozenset(pool), frozenset(known))]
     pool_sizes = [len(pool)]
     tried = set(known)
@@ -199,10 +190,7 @@ def brute_identify(victim_view, population, max_rounds=10, batch_size=10,
         if not interests_are_pages or like_and_refresh is None:
             stalled = True
             break
-        candidates = set()
-        for y in ([None] if years is None else sorted(years)):
-            candidates |= brute_reverse(population, name, y, known)
-        candidates -= tried
+        candidates = brute_reverse(population, name, years, known) - tried
         if not candidates:
             stalled = True
             break
@@ -217,7 +205,7 @@ def brute_identify(victim_view, population, max_rounds=10, batch_size=10,
         tried |= batch
         view = like_and_refresh(batch)
         known |= set(view.common_likes or ())
-        pool = _brute_pool(population, name, years, known)
+        pool = brute_forward(population, name, years, known)
         rounds_used = rnd
         pool_sizes.append(len(pool))
         pools.append(CandidatePool(rnd, frozenset(pool), frozenset(known)))

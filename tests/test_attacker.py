@@ -109,7 +109,7 @@ def test_trace_records_probes_polls_and_result():
     assert kinds.count("probe") == 5
     assert kinds.count("profile_poll") == 5
     assert kinds[-1] == "localize_result"
-    assert agent.trace.events[-1].detail["n_samples"] == 5
+    assert len(agent.last_samples) == 5
 
 
 def test_samples_obtainable_under_policy_quantum():
@@ -183,7 +183,7 @@ def fake_track(points, ref):
     """TrackRecord from bare (t, x, y) rows."""
     rec = TrackRecord("t")
     for t, x, y in points:
-        rec.add(t, PositionEstimate(EnuPoint(x, y, ref), 0.0, 1, 3))
+        rec.add(t, PositionEstimate(EnuPoint(x, y, ref), 0.0, 1))
     return rec
 
 

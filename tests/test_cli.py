@@ -202,6 +202,16 @@ def test_sweep_single_value_matches_plain_run(tmp_path):
             == (out_run / "localize_trials.csv").read_bytes())
 
 
+def test_steep_zipf_population_builds(tmp_path):
+    # Under zipf_s=40 only the top two pages can be drawn; once a user's
+    # draw budget runs out, the best-ranked pages fill the user's likes.
+    out = tmp_path / "o"
+    assert main(["run", str(ROOT / "scenarios" / "identify_zipf.cfg"),
+                 "--out", str(out), "--set", "zipf_s=40",
+                 "--set", "mean_likes=30", "--set", "catalog_size=100"]) == EXIT_OK
+    assert (out / "identification.csv").is_file()
+
+
 def test_sweep_unknown_param(tmp_path):
     cfg = write_cfg(tmp_path, FAST_LOCALIZE)
     assert main(["sweep", str(cfg), "--param", "n_users",
@@ -229,6 +239,14 @@ def test_sweep_out_of_range_value_is_config_error(tmp_path, capsys):
      "commute_distance_m"),
     (["attack=track", "trajectory=random_walk", "walk_step_m=2e7"],
      "walk_step_m"),
+    # Intervals so fine that the track or the walk would need more steps
+    # than fit in memory or time.
+    (["attack=track", "track_interval_s=5e-324"], "track_interval_s"),
+    (["attack=track", "trajectory=random_walk", "walk_interval_s=5e-324"],
+     "walk_interval_s"),
+    (["attack=track", "track_duration_s=1000000", "track_interval_s=0.5"],
+     "track_interval_s"),
+    (["track_duration_s=1e9"], "track_duration_s"),
 ])
 def test_non_finite_and_off_globe_values_are_config_errors(tmp_path, capsys,
                                                            sets, field):
@@ -334,6 +352,15 @@ def test_serve_round_trip_and_signal_shutdown(tmp_path):
     finally:
         if proc.poll() is None:
             proc.kill()
+
+
+def test_serve_has_no_out_option(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, FAST_LOCALIZE)
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", str(cfg), "--port", "0", "--out", str(tmp_path / "o")])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("port", ["70000", "65536", "-1"])

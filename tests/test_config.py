@@ -78,6 +78,16 @@ def test_overrides_applied_and_validated():
         parse_scenario(MINIMAL, {"warp": "9"})
 
 
+def test_track_step_cap():
+    at_cap = {"track_duration_s": str(config.MAX_TRACK_STEPS),
+              "track_interval_s": "1", "walk_interval_s": "1"}
+    parse_scenario(MINIMAL, at_cap)
+    for key in ("walk_interval_s", "track_interval_s"):
+        with pytest.raises(ConfigError) as exc:
+            parse_scenario(MINIMAL, {**at_cap, key: "0.999"})
+        assert exc.value.field == key
+
+
 def test_manifest_round_trip_stable():
     cfg = parse_scenario(Path("scenarios/localize_bcn.cfg"))
     m1 = render_manifest(cfg)

@@ -56,6 +56,16 @@ def test_objective_empty_rejected(bcn):
         objective(EnuPoint(0, 0, bcn), [], "l1")
 
 
+def test_unknown_norm_rejected_like_the_solver_config(bcn):
+    s = [sample_at(0, 0, 100, bcn)]
+    assert objective(EnuPoint(0, 0, bcn), s, "L2") == 100.0 ** 2
+    for bad in ("bogus", "l3", ""):
+        with pytest.raises(ValueError, match="norm must be"):
+            objective(EnuPoint(0, 0, bcn), s, bad)
+        with pytest.raises(ValueError, match="norm must be"):
+            SolverConfig(norm=bad)
+
+
 # -- solver basics ------------------------------------------------------------
 
 def test_three_circle_intersection(bcn):
@@ -64,7 +74,6 @@ def test_three_circle_intersection(bcn):
     est = multilaterate(samples, SolverConfig(seed=1))
     assert math.hypot(est.p_hat.x_m, est.p_hat.y_m) < 0.5
     assert est.residual < 0.5
-    assert est.samples_used == 3
     assert est.iterations_used <= 200
 
 

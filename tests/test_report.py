@@ -24,35 +24,32 @@ def test_trace_ordering_enforced():
 def test_localize_requires_prior_probe():
     tr = AttackTrace()
     with pytest.raises(ValueError):
-        tr.append(TraceEvent("localize_result", 0.0, "u1", {"n_samples": 3}))
+        tr.append(TraceEvent("localize_result", 0.0, "u1"))
     tr.append(TraceEvent("probe", 0.0, "u1"))
     with pytest.raises(ValueError):  # probes of another target do not count
-        tr.append(TraceEvent("localize_result", 0.5, "u2", {"n_samples": 1}))
-    tr.append(TraceEvent("localize_result", 1.0, "u1", {"n_samples": 1}))
+        tr.append(TraceEvent("localize_result", 0.5, "u2"))
+    tr.append(TraceEvent("localize_result", 1.0, "u1"))
 
 
 def test_probe_only_trace_is_collection_only():
     tr = trace_of(TraceEvent("probe", 0.0, "u1"),
                   TraceEvent("probe", 1.0, "u1"))
     rep = classify(tr)
-    assert rep.category_totals["Collection"] == 2
-    assert rep.category_totals["Processing"] == 0
-    assert rep.category_totals["Dissemination"] == 0
-    assert rep.category_totals["Invasion"] == 0
+    assert rep.tallies == {("Collection", "Surveillance"): 2}
 
 
 def test_full_attack_trace_hits_all_categories():
     tr = trace_of(
         TraceEvent("probe", 0.0, "u1"),
         TraceEvent("profile_poll", 0.0, "u1"),
-        TraceEvent("localize_result", 1.0, "u1", {"n_samples": 1}),
+        TraceEvent("localize_result", 1.0, "u1"),
         TraceEvent("probe", 2.0, "u1"),
-        TraceEvent("localize_result", 3.0, "u1", {"n_samples": 1}),
-        TraceEvent("identify_round", 4.0, "u1", {"round": 0, "pool": 5}),
-        TraceEvent("export", 5.0, None, {"artifact": "x.csv"}),
+        TraceEvent("localize_result", 3.0, "u1"),
+        TraceEvent("identify_round", 4.0, "u1"),
+        TraceEvent("export", 5.0),
     )
     rep = classify(tr)
-    assert all(rep.category_totals[c] > 0 for c in TAXONOMY)
+    assert {cat for cat, _ in rep.tallies} == set(TAXONOMY)
     # the second fix of the same target is the intrusion
     invasion_rows = [r for r in rep.labels if r[2] == "Invasion"]
     assert len(invasion_rows) == 1
@@ -61,17 +58,14 @@ def test_full_attack_trace_hits_all_categories():
 
 def test_empty_trace_all_zero():
     rep = classify(AttackTrace())
-    assert all(v == 0 for v in rep.category_totals.values())
+    assert rep.tallies == {}
     assert rep.labels == []
-    # every taxonomy activity is reported as an unlabeled capability
-    assert set(rep.unlabeled_activities) == {(c, a) for c, acts in TAXONOMY.items()
-                                             for a in acts}
 
 
 def test_every_event_gets_a_label():
     tr = trace_of(TraceEvent("probe", 0.0, "u1"),
-                  TraceEvent("identify_round", 1.0, "u2", {"round": 0}),
-                  TraceEvent("export", 2.0, None))
+                  TraceEvent("identify_round", 1.0, "u2"),
+                  TraceEvent("export", 2.0))
     rep = classify(tr)
     assert {idx for idx, *_ in rep.labels} == {0, 1, 2}
 
@@ -86,7 +80,7 @@ def test_emit_deterministic_and_ids(tmp_path, bcn):
     samples = [DistanceSample(EnuPoint(0, 0, bcn), 100.0, 0.0),
                DistanceSample(EnuPoint(200, 0, bcn), 150.0, 1.0),
                DistanceSample(EnuPoint(0, 250, bcn), 200.0, 2.0)]
-    est = PositionEstimate(EnuPoint(40.0, 30.0, bcn), 3.5, 17, 3)
+    est = PositionEstimate(EnuPoint(40.0, 30.0, bcn), 3.5, 17)
     grid = [(10, 10, 0.001), (10, 100, 0.01), (100, 10, 0.002)]
     pool = [("v0", 0, 40), ("v0", 1, 4), ("v1", 0, 8), ("v1", 1, 1)]
     quantum_rows = [(100.0, 30.0, 33.0, 10), (10.0, 4.0, 4.2, 10),
@@ -95,10 +89,8 @@ def test_emit_deterministic_and_ids(tmp_path, bcn):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
         tr = trace_of(TraceEvent("probe", 0.0, "u1"))
-        emit(out, tr, "samples.csv", probe_map=(samples, est, (35.0, 25.0)),
-             pool_rows=pool)
-        assert tr.events[-1] == TraceEvent("export", 0.0, None,
-                                           {"artifact": "samples.csv"})
+        emit(out, tr, probe_map=(samples, est, (35.0, 25.0)), pool_rows=pool)
+        assert tr.events[-1] == TraceEvent("export", 0.0)
         write_runtime_grid(grid, out)
         write_error_vs_quantum(quantum_rows, out)
     names = sorted(p.name for p in out1.iterdir())

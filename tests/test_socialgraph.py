@@ -32,46 +32,54 @@ HANDCRAFTED = [
     user("s8", "Luc", 1979, {"p5"}),
     user("s9", "Luc", 1984, {"p1", "p5"}),
 ]
+GRAPH = SocialGraph(HANDCRAFTED)
 
 
 def test_forward_match_all():
-    assert forward_search(HANDCRAFTED, GraphQuery()) == {u.social_id
-                                                         for u in HANDCRAFTED}
+    assert forward_search(GRAPH, GraphQuery()) == {u.social_id
+                                                   for u in HANDCRAFTED}
 
 
 def test_forward_handcrafted_equals_brute_force():
     q = GraphQuery(name="John", liked_pages=frozenset({"p1"}))
-    got = forward_search(HANDCRAFTED, q)
+    got = forward_search(GRAPH, q)
     assert got == brute_forward(HANDCRAFTED, "John", None, {"p1"})
     assert got == {"s0", "s1", "s2"}  # case-insensitive name match
 
 
 def test_forward_nobody_likes_page():
-    assert forward_search(HANDCRAFTED, GraphQuery(liked_pages=frozenset({"zzz"}))) == set()
+    assert forward_search(GRAPH, GraphQuery(liked_pages=frozenset({"zzz"}))) == set()
 
 
 def test_reverse_vacuous_and_singleton():
-    assert reverse_search(HANDCRAFTED, GraphQuery(name="Zoe")) == set()
-    got = reverse_search(HANDCRAFTED, GraphQuery(name="Luc", birth_year=1979))
+    assert reverse_search(GRAPH, GraphQuery(name="Zoe")) == set()
+    got = reverse_search(GRAPH, GraphQuery(name="Luc",
+                                           birth_years=frozenset({1979})))
     assert got == {"p5"}
-    got = reverse_search(HANDCRAFTED, GraphQuery(name="Luc", birth_year=1984,
-                                                 liked_pages=frozenset({"p5"})))
+    got = reverse_search(GRAPH, GraphQuery(name="Luc",
+                                           birth_years=frozenset({1984}),
+                                           liked_pages=frozenset({"p5"})))
     assert got == {"p1"}  # s9's likes minus the query page
+    assert reverse_search(GRAPH, GraphQuery(birth_years=frozenset())) == set()
 
 
 def test_forward_reverse_equal_brute_force_exhaustive(rng):
-    # populations up to 200 users, random queries
+    # populations up to 200 users, random queries; birth-year sets of up to
+    # three years, empty included, drawn around the population's years
     for trial in range(60):
         n = rng.randrange(1, 201)
         world = generate_population(n, 80, 1.0, seed=trial, mean_likes=3.0)
         pop = list(world.users.values())
+        graph = SocialGraph(pop)
         name = rng.choice([None, "John", pop[0].first_name])
-        year = rng.choice([None, 1979, pop[0].true_birthdate.year])
+        y0 = pop[0].true_birthdate.year
+        years = rng.choice([None, frozenset(rng.sample(
+            range(y0 - 3, y0 + 4), rng.randrange(0, 4)))])
         pages = set(rng.sample([p.page_id for p in world.catalog.pages],
                                rng.randrange(0, 3)))
-        q = GraphQuery(name, year, frozenset(pages))
-        assert forward_search(pop, q) == brute_forward(pop, name, year, pages)
-        assert reverse_search(pop, q) == brute_reverse(pop, name, year, pages)
+        q = GraphQuery(name, years, frozenset(pages))
+        assert forward_search(graph, q) == brute_forward(pop, name, years, pages)
+        assert reverse_search(graph, q) == brute_reverse(pop, name, years, pages)
 
 
 def test_candidate_birth_years():
@@ -92,8 +100,7 @@ def view_for(u, common, t=0.0, name=True, bday=True, social=None):
 
 def test_identify_unique_like_round_zero():
     victim = HANDCRAFTED[8]  # only s8 likes p5 among 1979 Lucs
-    res = identify(view_for(victim, {"p5"}), HANDCRAFTED,
-                   birthdate_is_fuzzy=False)
+    res = identify(view_for(victim, {"p5"}), GRAPH, birthdate_is_fuzzy=False)
     assert res.identified and res.social_id == "s8"
     assert res.pool_sizes == [1]
     assert res.rounds_used == 0
@@ -103,7 +110,7 @@ def test_identify_twins_stall_at_two():
     twins = [user("t0", "Ann", 1988, {"p1", "p2"}),
              user("t1", "Ann", 1988, {"p1", "p2"}),
              user("t2", "Bob", 1988, {"p3"})]
-    res = identify(view_for(twins[0], {"p1"}), twins,
+    res = identify(view_for(twins[0], {"p1"}), SocialGraph(twins),
                    like_and_refresh=lambda pages: view_for(twins[0], {"p1", "p2"}),
                    birthdate_is_fuzzy=False)
     assert not res.identified
@@ -113,7 +120,7 @@ def test_identify_twins_stall_at_two():
 
 def test_identify_social_id_short_circuit():
     victim = HANDCRAFTED[0]
-    res = identify(view_for(victim, set(), social="s0"), HANDCRAFTED)
+    res = identify(view_for(victim, set(), social="s0"), GRAPH)
     assert res.identified and res.social_id == "s0"
     assert res.rounds_used == 0
 
@@ -122,11 +129,11 @@ def test_identify_insufficient_selectors():
     # Neither a name nor common likes: the pool starts from everyone (or
     # everyone born in the shown year) and cannot refine without refreshes.
     victim = HANDCRAFTED[0]
-    res = identify(view_for(victim, set(), name=False, bday=False), HANDCRAFTED)
+    res = identify(view_for(victim, set(), name=False, bday=False), GRAPH)
     assert res.pools[0].candidates == {u.social_id for u in HANDCRAFTED}
     assert res.pool_sizes == [len(HANDCRAFTED)]
     assert res.stalled and not res.identified
-    res = identify(view_for(victim, set(), name=False), HANDCRAFTED)
+    res = identify(view_for(victim, set(), name=False), GRAPH)
     assert res.pools[0].candidates == {u.social_id for u in HANDCRAFTED
                                        if u.true_birthdate.year == 1979}
     assert res.stalled
@@ -141,7 +148,8 @@ def test_identify_pool_subset_invariant_and_soundness():
     svc = ProximityService(world, DisclosurePolicy())  # tinder-like defaults
     session = svc.login("attacker")
     svc.nearby(session, 1e9)
-    population = [u for u in world.users.values() if u.user_id != "attacker"]
+    population = SocialGraph(u for u in world.users.values()
+                             if u.user_id != "attacker")
     initial = set(world.user("attacker").likes)
     for vid in sorted(world.users)[:25]:
         if vid == "attacker":
@@ -167,7 +175,8 @@ def test_categories_mode_weaker_than_pages():
     world.add_user(SimUser("attacker", "Mallory", date(1990, 1, 1),
                            stationary_trajectory(world.bbox.center),
                            set(world.catalog.top(10)), "fb-attacker"))
-    population = [u for u in world.users.values() if u.user_id != "attacker"]
+    population = SocialGraph(u for u in world.users.values()
+                             if u.user_id != "attacker")
     initial = set(world.user("attacker").likes)
     hits = {"pages": 0, "categories": 0}
     for mode in ("pages", "categories"):

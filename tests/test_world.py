@@ -1,5 +1,6 @@
 import datetime
 import math
+import random
 
 import pytest
 from scipy.stats import chi2
@@ -8,8 +9,8 @@ from proxileak.geo import CoordinateError, GeoPoint, haversine_m
 from proxileak.world import (DEFAULT_BBOX, BoundingBox, DisclosurePolicy,
                              POLICY_PRESETS, Trajectory,
                              commuter_trajectory, fuzz_birthdate,
-                             generate_population, quantize_distance,
-                             stationary_trajectory)
+                             generate_population, make_catalog,
+                             quantize_distance, stationary_trajectory)
 
 
 # -- population generation ------------------------------------------------------
@@ -66,6 +67,17 @@ def test_like_rank_frequencies_decay():
     ranked = [counts[p.page_id] for p in w.catalog.pages]  # rank order
     deciles = [sum(ranked[i:i + 100]) for i in range(0, 1000, 100)]
     assert deciles == sorted(deciles, reverse=True)
+
+
+def test_steep_catalog_fills_likes_from_the_top_ranks():
+    # At zipf_s=40 the cumulative weights stop growing after rank 2, so only
+    # pages 1 and 2 can be drawn; the draw budget ends the sampling and the
+    # next best ranks fill the rest.
+    catalog = make_catalog(100, 25, 40.0, seed=1)
+    rng = random.Random(5)
+    likes = catalog.sample_likes(30, rng)
+    assert likes == set(catalog.top(30))
+    assert catalog.sample_likes(100, rng) == set(catalog.top(100))
 
 
 # -- birthdate fuzz --------------------------------------------------------------
