@@ -83,9 +83,7 @@ class Poi:
 
 @dataclass
 class TrackRecord:
-    target_id: str
     estimates: list[tuple[float, PositionEstimate]] = field(default_factory=list)
-    pois: list[Poi] = field(default_factory=list)
     gaps: list[float] = field(default_factory=list)
 
     def add(self, t: float, est: PositionEstimate) -> None:
@@ -179,7 +177,7 @@ class Attacker:
             raise ValueError("duration_s must be >= 0")
         if self._advance is None:
             raise ValueError("tracking needs the scenario clock hook")
-        record = TrackRecord(target_id)
+        record = TrackRecord()
         n_fixes = 1 + int(duration_s // interval_s)
         current = plan
         for k in range(n_fixes):

@@ -6,7 +6,9 @@
 
 Exit codes: 0 success, 2 configuration error, 3 attack/runtime error.
 The output directory of run and sweep resolves as --out, else
-$PROXILEAK_OUT, else the config's ``out_dir``.
+$PROXILEAK_OUT, else ``out/<config file stem>``. A run's ``manifest.cfg``
+is a scenario file: ``proxileak run <dir>/manifest.cfg`` repeats the run
+byte for byte.
 """
 
 from __future__ import annotations
@@ -44,16 +46,17 @@ def _load(args) -> ScenarioConfig:
     return parse_scenario(Path(args.config), overrides)
 
 
-def _out_dir(args, cfg: ScenarioConfig) -> str:
-    return args.out or os.environ.get(OUT_ENV) or cfg.out_dir
+def _out_dir(args) -> Path:
+    return Path(args.out or os.environ.get(OUT_ENV)
+                or Path("out") / Path(args.config).stem)
 
 
 def _cmd_run(args) -> int:
-    cfg = _load(args)
-    result = run_scenario(cfg, _out_dir(args, cfg))
+    out = _out_dir(args)
+    result = run_scenario(_load(args), out)
     for key in sorted(result.metrics):
         print(f"{key} = {result.metrics[key]}")
-    print(f"artifacts written to {result.out_dir}")
+    print(f"artifacts written to {out}")
     return EXIT_OK
 
 
@@ -62,10 +65,10 @@ def _cmd_sweep(args) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("no sweep values given", field="--values")
-    result = run_sweep(cfg, args.param, values, _out_dir(args, cfg),
-                       parallel=args.parallel)
+    out = _out_dir(args)
+    run_sweep(cfg, args.param, values, out, parallel=args.parallel)
     print(f"swept {args.param} over {len(values)} values; "
-          f"aggregate at {result.out_dir / 'sweep.csv'}")
+          f"aggregate at {out / 'sweep.csv'}")
     return EXIT_OK
 
 

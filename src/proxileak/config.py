@@ -16,13 +16,13 @@ below 366 days, and may span at most ``MAX_TRACK_STEPS`` intervals of
 ``walk_interval_s`` and of ``track_interval_s``; a finer interval is
 reported on its own key.
 The fully resolved configuration (defaults included) can be rendered back
-out as a manifest, byte-stable for fixed inputs.
+out as a manifest, byte-stable for fixed inputs. The configuration holds
+no output path, so a manifest parses back to the run it records.
 
 Keys (defaults in parentheses):
 
   seed                  int, required; master seed for everything random
   attack                localize | track | identify (localize)
-  out_dir               artifact directory ("out")
   bbox                  lat_min,lon_min,lat_max,lon_max (41.35,2.10,41.45,2.25)
   n_users               population size (25)
   catalog_size          pages in the catalog (1000)
@@ -119,7 +119,7 @@ def _bbox(raw: str) -> tuple[float, float, float, float]:
 
 # Field annotation (a string under postponed evaluation) -> text parser.
 _BBOX = "tuple[float, float, float, float]"
-_PARSERS = {"int": int, "float": _float, "bool": _bool, "str": str, _BBOX: _bbox}
+_PARSERS = {"int": int, "float": _float, "bool": _bool, _BBOX: _bbox}
 
 
 def _key(default, *, choices: tuple[str, ...] = (), ge=None, gt=None,
@@ -138,7 +138,6 @@ def _key(default, *, choices: tuple[str, ...] = (), ge=None, gt=None,
 class ScenarioConfig:
     seed: int
     attack: str = _key("localize", choices=("localize", "track", "identify"))
-    out_dir: str = "out"
     bbox: tuple[float, float, float, float] = (41.35, 2.10, 41.45, 2.25)
     n_users: int = _key(25, ge=1)
     catalog_size: int = _key(1000, ge=1)

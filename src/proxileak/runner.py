@@ -20,7 +20,8 @@ from . import report
 from .attacker import Attacker, ProbePlan, extract_pois
 from .config import (POLICY_FIELDS, SWEEPABLE_PARAMS, ConfigError,
                      ScenarioConfig, convert_value, render_manifest, validate)
-from .geo import EnuPoint, GeoPoint, from_enu, haversine_m, to_enu
+from .geo import (EARTH_RADIUS_M, EnuPoint, GeoPoint, from_enu, haversine_m,
+                  to_enu)
 from .mlat import SolverConfig
 from .report import AttackTrace
 from .service import ProximityService
@@ -35,10 +36,13 @@ __all__ = ["RunResult", "build_policy", "build_service", "build_world",
 ATTACKER_ID = "attacker"
 TARGET_ID = "u00000"
 
+# No great-circle distance exceeds half the circumference, so a discovery
+# sweep of this radius sees the whole world wherever the bbox lies.
+DISCOVER_RADIUS_M = math.pi * EARTH_RADIUS_M
+
 
 @dataclass
 class RunResult:
-    out_dir: Path
     metrics: dict[str, float]
 
 
@@ -87,12 +91,6 @@ def build_service(cfg: ScenarioConfig, seed: int) -> ProximityService:
                             scenario_seed=seed)
 
 
-def _bbox_cover_radius(world: World) -> float:
-    corner = GeoPoint(world.bbox.lat_min, world.bbox.lon_min)
-    other = GeoPoint(world.bbox.lat_max, world.bbox.lon_max)
-    return haversine_m(corner, other) + 1000.0
-
-
 def _solver_config(cfg: ScenarioConfig, seed: int) -> SolverConfig:
     return SolverConfig(norm=cfg.solver_norm,
                         max_iterations=cfg.solver_max_iterations,
@@ -132,26 +130,26 @@ def _open_attack(cfg: ScenarioConfig, seed: int,
                           cfg.probe_center_offset_m, seed)
     agent = Attacker(service, session, ref=prior, trace=trace,
                      advance=world.advance)
-    agent.discover(_bbox_cover_radius(world))
+    agent.discover(DISCOVER_RADIUS_M)
     return agent
 
 
-def run_scenario(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> RunResult:
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> RunResult:
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report._write(out / "manifest.cfg", render_manifest(cfg))
     if cfg.attack == "localize":
-        result = _run_localize(cfg, out)
+        metrics = _run_localize(cfg, out)
     elif cfg.attack == "track":
-        result = _run_track(cfg, out)
+        metrics = _run_track(cfg, out)
     else:
-        result = _run_identify(cfg, out)
+        metrics = _run_identify(cfg, out)
     report.write_csv(out / "summary.csv", ("metric", "value"),
-                     ((k, result.metrics[k]) for k in sorted(result.metrics)))
-    return result
+                     ((k, metrics[k]) for k in sorted(metrics)))
+    return RunResult(metrics)
 
 
-def _run_localize(cfg: ScenarioConfig, out: Path) -> RunResult:
+def _run_localize(cfg: ScenarioConfig, out: Path) -> dict[str, float]:
     rows = []
     trace = AttackTrace()  # only trial 0 is traced
     for trial in range(cfg.trials):
@@ -170,22 +168,21 @@ def _run_localize(cfg: ScenarioConfig, out: Path) -> RunResult:
                      rows)
     report.emit(out, trace, probe_map=probe_map)
     errors = [r[2] for r in rows]
-    metrics = {
+    return {
         "trials": cfg.trials,
         "median_error_m": statistics.median(errors),
         "mean_error_m": statistics.fmean(errors),
         "max_error_m": max(errors),
     }
-    return RunResult(out, metrics)
 
 
-def _run_track(cfg: ScenarioConfig, out: Path) -> RunResult:
+def _run_track(cfg: ScenarioConfig, out: Path) -> dict[str, float]:
     trace = AttackTrace()
     agent = _open_attack(cfg, cfg.seed, trace)
     record = agent.track(TARGET_ID, cfg.track_interval_s, cfg.track_duration_s,
                          _probe_plan(cfg, agent.ref, cfg.seed),
                          _solver_config(cfg, cfg.seed))
-    record.pois = extract_pois(record, cfg.poi_radius_m, cfg.poi_min_dwell_s)
+    pois = extract_pois(record, cfg.poi_radius_m, cfg.poi_min_dwell_s)
     report.write_csv(out / "track.csv",
                      ("t_s", "est_x_m", "est_y_m", "residual_m"),
                      ((t, e.p_hat.x_m, e.p_hat.y_m, e.residual)
@@ -193,27 +190,27 @@ def _run_track(cfg: ScenarioConfig, out: Path) -> RunResult:
     report.write_csv(out / "pois.csv",
                      ("x_m", "y_m", "dwell_s", "t_start", "t_end", "n_fixes"),
                      ((p.center.x_m, p.center.y_m, p.dwell_s, p.t_start,
-                       p.t_end, p.n_fixes) for p in record.pois))
+                       p.t_end, p.n_fixes) for p in pois))
     report.emit(out, trace)
     metrics = {
         "n_fixes": len(record.estimates),
         "n_gaps": len(record.gaps),
-        "n_pois": len(record.pois),
+        "n_pois": len(pois),
     }
     # Distance of each POI to the nearest trajectory waypoint (ground truth)
     # the target had reached by the last fix.
-    if record.pois:
+    if pois:
         t_last = record.estimates[-1][0]
         waypoints = [wp for t, wp in
                      agent.service.world.user(TARGET_ID).trajectory.waypoints
                      if t <= t_last]
         errs = [min(haversine_m(from_enu(p.center), wp) for wp in waypoints)
-                for p in record.pois]
+                for p in pois]
         metrics["poi_error_max_m"] = max(errs)
-    return RunResult(out, metrics)
+    return metrics
 
 
-def _run_identify(cfg: ScenarioConfig, out: Path) -> RunResult:
+def _run_identify(cfg: ScenarioConfig, out: Path) -> dict[str, float]:
     trace = AttackTrace()
     agent = _open_attack(cfg, cfg.seed, trace)
     service, session, world = agent.service, agent.session, agent.service.world
@@ -247,17 +244,16 @@ def _run_identify(cfg: ScenarioConfig, out: Path) -> RunResult:
                      ((seed, r.rounds_used, r.pool_sizes[-1], int(r.identified))
                       for seed, r in rows))
     report.emit(out, trace, pool_rows=pool_rows)
-    metrics = {
+    return {
         "victims": len(victim_ids),
         "identification_rate": hits / len(victim_ids),
         "mean_rounds": statistics.fmean(r.rounds_used for _, r in rows),
         "mean_final_pool": statistics.fmean(r.pool_sizes[-1] for _, r in rows),
     }
-    return RunResult(out, metrics)
 
 
 def run_sweep(cfg: ScenarioConfig, param: str, values: list[str],
-              out_dir: str | Path | None = None, parallel: int = 1) -> RunResult:
+              out_dir: str | Path, parallel: int = 1) -> None:
     """Run the scenario once per value, aggregate headline metrics.
 
     Each value must be distinct; at most ``min(parallel, len(values))``
@@ -267,7 +263,7 @@ def run_sweep(cfg: ScenarioConfig, param: str, values: list[str],
                           field=param)
     if parallel < 1:
         raise ConfigError(f"must be >= 1: {parallel}", field="--parallel")
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+    out = Path(out_dir)
     jobs, seen = [], {}
     for v in values:
         value = convert_value(param, v)
@@ -295,9 +291,7 @@ def run_sweep(cfg: ScenarioConfig, param: str, values: list[str],
         rows = [(float(v), m["median_error_m"], m["mean_error_m"], int(m["trials"]))
                 for (v, _, _), (_, m) in zip(jobs, results)]
         report.write_error_vs_quantum(rows, out)
-    return RunResult(out, {"runs": len(values)})
 
 
 def _sweep_job(value: str, cfg: ScenarioConfig, out: Path):
-    result = run_scenario(cfg, out)
-    return value, result.metrics
+    return value, run_scenario(cfg, out).metrics

@@ -23,7 +23,7 @@ from .service import NearbyEntry
 from .world import FUZZ_WINDOW_DAYS, SimUser
 
 __all__ = [
-    "GraphQuery", "SocialGraph", "CandidatePool", "IdentificationResult",
+    "GraphQuery", "SocialGraph", "IdentificationResult",
     "forward_search", "reverse_search", "candidate_birth_years", "identify",
 ]
 
@@ -105,21 +105,16 @@ def candidate_birth_years(disclosed: date, fuzzy: bool) -> frozenset[int]:
                      for d in range(-FUZZ_WINDOW_DAYS, FUZZ_WINDOW_DAYS + 1))
 
 
-@dataclass(frozen=True)
-class CandidatePool:
-    round: int
-    candidates: frozenset[str]
-    attacker_likes: frozenset[str]
-
-
 @dataclass
 class IdentificationResult:
+    """``pools[r]`` holds the candidate social ids after round ``r``."""
+
     social_id: str | None
     pool_sizes: list[int]
     rounds_used: int
     identified: bool
     stalled: bool
-    pools: list[CandidatePool] = field(default_factory=list)
+    pools: list[frozenset[str]] = field(default_factory=list)
 
 
 def identify(victim_view: NearbyEntry, graph: SocialGraph,
@@ -144,8 +139,7 @@ def identify(victim_view: NearbyEntry, graph: SocialGraph,
 
     if victim_view.social_id is not None:
         return IdentificationResult(victim_view.social_id, [1], 0, True, False,
-                                    [CandidatePool(0, frozenset([victim_view.social_id]),
-                                                   frozenset())])
+                                    [frozenset([victim_view.social_id])])
 
     name = victim_view.first_name
     known: set[str] = set(victim_view.common_likes or ()) if interests_are_pages else set()
@@ -155,7 +149,7 @@ def identify(victim_view: NearbyEntry, graph: SocialGraph,
 
     matched = graph.matching(GraphQuery(name, years, frozenset(known)))
     pool = {u.social_id for u in matched}
-    pools = [CandidatePool(0, frozenset(pool), frozenset(known))]
+    pools = [frozenset(pool)]
     pool_sizes = [len(pool)]
     if trace is not None:
         trace.append(TraceEvent("identify_round", victim_view.last_active_t,
@@ -189,7 +183,7 @@ def identify(victim_view: NearbyEntry, graph: SocialGraph,
         pool = {u.social_id for u in matched}
         rounds_used = rnd
         pool_sizes.append(len(pool))
-        pools.append(CandidatePool(rnd, frozenset(pool), frozenset(known)))
+        pools.append(frozenset(pool))
         if trace is not None:
             trace.append(TraceEvent("identify_round", view.last_active_t,
                                     victim_view.user_id))

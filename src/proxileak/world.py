@@ -20,7 +20,7 @@ from itertools import islice
 from .geo import CoordinateError, EnuPoint, GeoPoint, from_enu, to_enu
 
 __all__ = [
-    "SimUser", "Page", "PageCatalog", "DisclosurePolicy", "Trajectory",
+    "SimUser", "PageCatalog", "DisclosurePolicy", "Trajectory",
     "World", "BoundingBox", "POLICY_PRESETS", "BIRTHDATE_MODES",
     "INTERESTS_MODES",
     "generate_population", "fuzz_birthdate", "quantize_distance",
@@ -121,47 +121,37 @@ class BoundingBox:
 DEFAULT_BBOX = BoundingBox(41.35, 2.10, 41.45, 2.25)
 
 
-@dataclass(frozen=True)
-class Page:
-    page_id: str
-    category: str
-    popularity_rank: int  # 1 = most popular
-
-
 class PageCatalog:
-    """Ranked page catalog; rank r carries sampling weight r**-zipf_s."""
+    """Ranked page catalog: ``page_ids[r - 1]`` is the page of popularity
+    rank r (1 = most popular), which carries sampling weight r**-zipf_s.
+    Each page's category is drawn from ``n_categories`` under ``seed``."""
 
-    def __init__(self, pages: list[Page], zipf_s: float):
-        ranks = sorted(p.popularity_rank for p in pages)
-        if ranks != list(range(1, len(pages) + 1)):
-            raise ValueError("page ranks must be exactly 1..P with no gaps")
-        self.pages = sorted(pages, key=lambda p: p.popularity_rank)
-        self._by_id = {p.page_id: p for p in self.pages}
-        if len(self._by_id) != len(self.pages):
-            raise ValueError("duplicate page ids in catalog")
+    def __init__(self, catalog_size: int, n_categories: int, zipf_s: float,
+                 seed: int):
+        rng = random.Random(derive_seed(seed, "catalog"))
+        cats = [f"cat{c:03d}" for c in range(n_categories)]
+        self.page_ids = [f"pg{r:05d}" for r in range(1, catalog_size + 1)]
+        self._category = {p: rng.choice(cats) for p in self.page_ids}
         # Cumulative rank weights, summed left to right.
         total = 0.0
         self._cum = []
-        for r in range(1, len(self.pages) + 1):
+        for r in range(1, catalog_size + 1):
             total += r ** (-zipf_s)
             self._cum.append(total)
 
-    def __len__(self) -> int:
-        return len(self.pages)
-
     def __contains__(self, page_id: str) -> bool:
-        return page_id in self._by_id
+        return page_id in self._category
 
     def category_of(self, page_id: str) -> str:
-        return self._by_id[page_id].category
+        return self._category[page_id]
 
     def top(self, n: int) -> list[str]:
-        return [p.page_id for p in self.pages[:n]]
+        return self.page_ids[:n]
 
     def sample_likes(self, count: int, rng: random.Random) -> set[str]:
         """``count`` distinct pages, rank-weighted by rank**-zipf_s, within
         the draw budget of ``MAX_DRAWS_PER_LIKE``."""
-        count = min(count, len(self.pages))
+        count = min(count, len(self.page_ids))
         cum = self._cum
         chosen: set[str] = set()
         for _ in range(MAX_DRAWS_PER_LIKE * count):
@@ -169,19 +159,10 @@ class PageCatalog:
                 return chosen
             u = rng.random() * cum[-1]
             idx = bisect.bisect_left(cum, u)
-            chosen.add(self.pages[min(idx, len(self.pages) - 1)].page_id)
-        ranked = (p.page_id for p in self.pages if p.page_id not in chosen)
+            chosen.add(self.page_ids[min(idx, len(self.page_ids) - 1)])
+        ranked = (p for p in self.page_ids if p not in chosen)
         chosen.update(islice(ranked, count - len(chosen)))
         return chosen
-
-
-def make_catalog(catalog_size: int, n_categories: int, zipf_s: float,
-                 seed: int) -> PageCatalog:
-    rng = random.Random(derive_seed(seed, "catalog"))
-    cats = [f"cat{c:03d}" for c in range(n_categories)]
-    pages = [Page(f"pg{r:05d}", rng.choice(cats), r)
-             for r in range(1, catalog_size + 1)]
-    return PageCatalog(pages, zipf_s)
 
 
 class Trajectory:
@@ -339,7 +320,7 @@ class World:
             raise ValueError(f"duplicate user_id {user.user_id!r}")
         if any(u.social_id == user.social_id for u in self.users.values()):
             raise ValueError(f"duplicate social_id {user.social_id!r}")
-        bad = user.likes - {p.page_id for p in self.catalog.pages}
+        bad = {p for p in user.likes if p not in self.catalog}
         if bad:
             raise ValueError(f"likes outside catalog: {sorted(bad)!r}")
         self.users[user.user_id] = user
@@ -351,6 +332,10 @@ def _bounded_geometric(rng: random.Random, mean: float, cap: int) -> int:
         return 0
     q = mean / (1.0 + mean)
     u = rng.random()
+    if q == 1.0:
+        # A mean this large rounds q to 1, so log(q) is 0; as q -> 1 the
+        # capped law puts all its mass on the cap.
+        return cap
     k = int(math.log(1.0 - u) / math.log(q)) if u > 0.0 else 0
     return min(k, cap)
 
@@ -369,7 +354,7 @@ def generate_population(n: int, catalog_size: int, zipf_s: float, seed: int,
         raise ValueError("population size must be >= 1")
     if zipf_s <= 0.0:
         raise ValueError("zipf_s must be > 0")
-    catalog = make_catalog(catalog_size, n_categories, zipf_s, seed)
+    catalog = PageCatalog(catalog_size, n_categories, zipf_s, seed)
     users: dict[str, SimUser] = {}
     ord_lo, ord_hi = BIRTH_RANGE[0].toordinal(), BIRTH_RANGE[1].toordinal()
     for i in range(n):

@@ -15,8 +15,7 @@ from math import fabs, sqrt
 
 import numpy as np
 
-from proxileak.socialgraph import (CandidatePool, IdentificationResult,
-                                   candidate_birth_years)
+from proxileak.socialgraph import IdentificationResult, candidate_birth_years
 
 EARTH_RADIUS_M = 6_371_008.8
 
@@ -169,8 +168,7 @@ def brute_identify(victim_view, population, max_rounds=10, batch_size=10,
 
     if victim_view.social_id is not None:
         return IdentificationResult(victim_view.social_id, [1], 0, True, False,
-                                    [CandidatePool(0, frozenset([victim_view.social_id]),
-                                                   frozenset())])
+                                    [frozenset([victim_view.social_id])])
 
     name = victim_view.first_name
     known = set(victim_view.common_likes or ()) if interests_are_pages else set()
@@ -179,7 +177,7 @@ def brute_identify(victim_view, population, max_rounds=10, batch_size=10,
         years = candidate_birth_years(victim_view.fuzzy_birthdate, birthdate_is_fuzzy)
 
     pool = brute_forward(population, name, years, known)
-    pools = [CandidatePool(0, frozenset(pool), frozenset(known))]
+    pools = [frozenset(pool)]
     pool_sizes = [len(pool)]
     tried = set(known)
     rounds_used = 0
@@ -208,7 +206,7 @@ def brute_identify(victim_view, population, max_rounds=10, batch_size=10,
         pool = brute_forward(population, name, years, known)
         rounds_used = rnd
         pool_sizes.append(len(pool))
-        pools.append(CandidatePool(rnd, frozenset(pool), frozenset(known)))
+        pools.append(frozenset(pool))
 
     identified = len(pool) == 1
     social_id = next(iter(pool)) if identified else None

@@ -208,7 +208,7 @@ def test_graph_search_refinement():
             res = identify(view, graph, like_and_refresh=refresh)
             runs += 1
             truth_sid = world.user(vid).social_id
-            sound += all(truth_sid in p.candidates for p in res.pools)
+            sound += all(truth_sid in p for p in res.pools)
             monotone += res.pool_sizes == sorted(res.pool_sizes, reverse=True)
             identified += int(res.identified and res.social_id == truth_sid)
     assert runs == 1000

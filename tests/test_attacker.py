@@ -181,7 +181,7 @@ def test_track_commuter_two_clusters():
 
 def fake_track(points, ref):
     """TrackRecord from bare (t, x, y) rows."""
-    rec = TrackRecord("t")
+    rec = TrackRecord()
     for t, x, y in points:
         rec.add(t, PositionEstimate(EnuPoint(x, y, ref), 0.0, 1))
     return rec

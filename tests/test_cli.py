@@ -12,7 +12,7 @@ import pytest
 from proxileak import runner
 from proxileak.cli import EXIT_CONFIG, EXIT_OK, main
 from proxileak.config import parse_scenario
-from proxileak.geo import EnuPoint, from_enu, haversine_m
+from proxileak.geo import EnuPoint, GeoPoint, from_enu, haversine_m
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -89,6 +89,39 @@ def test_out_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("PROXILEAK_OUT", str(target))
     assert main(["run", str(cfg)]) == EXIT_OK
     assert (target / "manifest.cfg").exists()
+
+
+def test_default_out_dir_is_out_slash_config_stem(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path, FAST_LOCALIZE, name="fast.cfg")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PROXILEAK_OUT", raising=False)
+    assert main(["run", str(cfg)]) == EXIT_OK
+    assert (tmp_path / "out" / "fast" / "manifest.cfg").is_file()
+
+
+def test_out_dir_is_not_a_config_key(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["run", str(ROOT / "scenarios" / "localize_bcn.cfg"),
+                 "--out", str(out), "--set", "out_dir=x"]) == EXIT_CONFIG
+    assert "field 'out_dir'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario",
+                         ["identify_zipf", "localize_bcn", "track_commuter"])
+def test_manifest_reruns_byte_for_byte(tmp_path, scenario):
+    # A run's manifest is a scenario file: run from another directory, it
+    # repeats every artifact, the manifest included.
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["run", str(ROOT / "scenarios" / f"{scenario}.cfg"),
+                 "--out", str(first)]) == EXIT_OK
+    assert main(["run", str(first / "manifest.cfg"),
+                 "--out", str(second)]) == EXIT_OK
+    names = sorted(p.name for p in first.iterdir())
+    assert "manifest.cfg" in names
+    assert sorted(p.name for p in second.iterdir()) == names
+    for name in names:
+        assert (second / name).read_bytes() == (first / name).read_bytes()
 
 
 def test_sweep_quantum(tmp_path):
@@ -210,6 +243,17 @@ def test_steep_zipf_population_builds(tmp_path):
                  "--out", str(out), "--set", "zipf_s=40",
                  "--set", "mean_likes=30", "--set", "catalog_size=100"]) == EXIT_OK
     assert (out / "identification.csv").is_file()
+
+
+def test_discovery_covers_a_bbox_around_the_pole(tmp_path):
+    # Spanning every longitude, the bbox's two corners lie on one meridian
+    # 11 km apart, while users in it can be 22 km apart across the pole.
+    assert (haversine_m(GeoPoint(0.0, 0.0), GeoPoint(0.0, 180.0))
+            <= runner.DISCOVER_RADIUS_M)
+    out = tmp_path / "o"
+    assert main(["run", str(ROOT / "scenarios" / "track_commuter.cfg"),
+                 "--out", str(out), "--set", "bbox=89.9,-180,90,180"]) == EXIT_OK
+    assert (out / "track.csv").is_file()
 
 
 def test_sweep_unknown_param(tmp_path):

@@ -149,14 +149,14 @@ def test_categories_mode_maps_pages():
     ids = sorted(world.users)
     a, b = ids[0], ids[1]
     # force a known overlap
-    page = world.catalog.pages[0]
-    world.add_likes(a, {page.page_id})
-    world.add_likes(b, {page.page_id})
+    page = world.catalog.page_ids[0]
+    world.add_likes(a, {page})
+    world.add_likes(b, {page})
     s = svc.login(a)
     svc.nearby(s, 1e6)
     entry = svc.profile(s, b)
-    assert page.category in entry.common_likes
-    assert page.page_id not in entry.common_likes
+    assert world.catalog.category_of(page) in entry.common_likes
+    assert page not in entry.common_likes
 
 
 def test_common_likes_subset_of_requester():

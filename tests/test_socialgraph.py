@@ -75,7 +75,7 @@ def test_forward_reverse_equal_brute_force_exhaustive(rng):
         y0 = pop[0].true_birthdate.year
         years = rng.choice([None, frozenset(rng.sample(
             range(y0 - 3, y0 + 4), rng.randrange(0, 4)))])
-        pages = set(rng.sample([p.page_id for p in world.catalog.pages],
+        pages = set(rng.sample(world.catalog.page_ids,
                                rng.randrange(0, 3)))
         q = GraphQuery(name, years, frozenset(pages))
         assert forward_search(graph, q) == brute_forward(pop, name, years, pages)
@@ -130,12 +130,12 @@ def test_identify_insufficient_selectors():
     # everyone born in the shown year) and cannot refine without refreshes.
     victim = HANDCRAFTED[0]
     res = identify(view_for(victim, set(), name=False, bday=False), GRAPH)
-    assert res.pools[0].candidates == {u.social_id for u in HANDCRAFTED}
+    assert res.pools[0] == {u.social_id for u in HANDCRAFTED}
     assert res.pool_sizes == [len(HANDCRAFTED)]
     assert res.stalled and not res.identified
     res = identify(view_for(victim, set(), name=False), GRAPH)
-    assert res.pools[0].candidates == {u.social_id for u in HANDCRAFTED
-                                       if u.true_birthdate.year == 1979}
+    assert res.pools[0] == {u.social_id for u in HANDCRAFTED
+                            if u.true_birthdate.year == 1979}
     assert res.stalled
 
 
@@ -165,7 +165,7 @@ def test_identify_pool_subset_invariant_and_soundness():
         assert res.pool_sizes == sorted(res.pool_sizes, reverse=True)
         truth_sid = world.user(vid).social_id
         for pool in res.pools:
-            assert truth_sid in pool.candidates
+            assert truth_sid in pool
         if res.identified:
             assert res.social_id == truth_sid
 

@@ -6,11 +6,11 @@ import pytest
 from scipy.stats import chi2
 
 from proxileak.geo import CoordinateError, GeoPoint, haversine_m
-from proxileak.world import (DEFAULT_BBOX, BoundingBox, DisclosurePolicy,
-                             POLICY_PRESETS, Trajectory,
-                             commuter_trajectory, fuzz_birthdate,
-                             generate_population, make_catalog,
-                             quantize_distance, stationary_trajectory)
+from proxileak.world import (DEFAULT_BBOX, MAX_LIKES_PER_USER, BoundingBox,
+                             DisclosurePolicy, POLICY_PRESETS, PageCatalog,
+                             Trajectory, commuter_trajectory, fuzz_birthdate,
+                             generate_population, quantize_distance,
+                             stationary_trajectory)
 
 
 # -- population generation ------------------------------------------------------
@@ -19,7 +19,7 @@ def test_population_shape_and_determinism():
     w1 = generate_population(250, 1000, 1.0, seed=5)
     w2 = generate_population(250, 1000, 1.0, seed=5)
     assert len(w1.users) == 250
-    catalog_ids = {p.page_id for p in w1.catalog.pages}
+    catalog_ids = set(w1.catalog.page_ids)
     for uid, u in w1.users.items():
         assert u.likes <= catalog_ids
         assert w2.users[uid].likes == u.likes
@@ -33,7 +33,7 @@ def test_population_of_one():
     w = generate_population(1, 50, 1.0, seed=9)
     assert len(w.users) == 1
     only = next(iter(w.users.values()))
-    assert only.likes <= {p.page_id for p in w.catalog.pages}
+    assert only.likes <= set(w.catalog.page_ids)
 
 
 def test_different_seeds_differ():
@@ -60,11 +60,11 @@ def test_top10_share_fraction_in_band():
 def test_like_rank_frequencies_decay():
     # Decile aggregates of like counts must be non-increasing in rank.
     w = generate_population(20_000, 1000, 1.0, seed=3, mean_likes=5.0)
-    counts = {p.page_id: 0 for p in w.catalog.pages}
+    counts = dict.fromkeys(w.catalog.page_ids, 0)
     for u in w.users.values():
         for page in u.likes:
             counts[page] += 1
-    ranked = [counts[p.page_id] for p in w.catalog.pages]  # rank order
+    ranked = [counts[p] for p in w.catalog.page_ids]  # rank order
     deciles = [sum(ranked[i:i + 100]) for i in range(0, 1000, 100)]
     assert deciles == sorted(deciles, reverse=True)
 
@@ -73,11 +73,17 @@ def test_steep_catalog_fills_likes_from_the_top_ranks():
     # At zipf_s=40 the cumulative weights stop growing after rank 2, so only
     # pages 1 and 2 can be drawn; the draw budget ends the sampling and the
     # next best ranks fill the rest.
-    catalog = make_catalog(100, 25, 40.0, seed=1)
+    catalog = PageCatalog(100, 25, 40.0, seed=1)
     rng = random.Random(5)
     likes = catalog.sample_likes(30, rng)
     assert likes == set(catalog.top(30))
     assert catalog.sample_likes(100, rng) == set(catalog.top(100))
+
+
+def test_huge_mean_likes_gives_every_user_the_cap():
+    # Above ~1e16, mean / (1 + mean) rounds to 1.0, whose log is 0.
+    w = generate_population(20, 100, 1.0, seed=4, mean_likes=1e17)
+    assert all(len(u.likes) == MAX_LIKES_PER_USER for u in w.users.values())
 
 
 # -- birthdate fuzz --------------------------------------------------------------
@@ -209,7 +215,7 @@ def test_add_likes_validates_catalog():
     uid = next(iter(w.users))
     with pytest.raises(ValueError):
         w.add_likes(uid, {"nonexistent-page"})
-    page = w.catalog.pages[0].page_id
+    page = w.catalog.page_ids[0]
     w.add_likes(uid, {page})
     assert page in w.users[uid].likes
 
