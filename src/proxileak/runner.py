@@ -58,20 +58,18 @@ def build_world(cfg: ScenarioConfig, seed: int | None = None) -> World:
                                 seed, bbox=bbox, mean_likes=cfg.mean_likes,
                                 n_categories=cfg.n_categories)
     rng = random.Random(derive_seed(seed, "target-trajectory"))
-    target = world.user(TARGET_ID)
-    home = target.trajectory.position_at(0.0)
+    home = world.true_position_of(TARGET_ID)
     if cfg.trajectory == "commuter":
         ang = rng.uniform(0.0, 2.0 * math.pi)
         work = from_enu(EnuPoint(cfg.commute_distance_m * math.cos(ang),
                                  cfg.commute_distance_m * math.sin(ang), home))
-        target.trajectory = commuter_trajectory(home, work, cfg.dwell_home_s,
-                                                cfg.travel_s, cfg.dwell_work_s)
+        world.set_trajectory(TARGET_ID, commuter_trajectory(
+            home, work, cfg.dwell_home_s, cfg.travel_s, cfg.dwell_work_s))
     elif cfg.trajectory == "random_walk":
         # Long enough for the track; the target holds its last waypoint.
         n_steps = max(1, math.ceil(cfg.track_duration_s / cfg.walk_interval_s))
-        target.trajectory = random_walk_trajectory(home, cfg.walk_step_m,
-                                                   cfg.walk_interval_s, n_steps,
-                                                   rng, bbox)
+        world.set_trajectory(TARGET_ID, random_walk_trajectory(
+            home, cfg.walk_step_m, cfg.walk_interval_s, n_steps, rng, bbox))
     world.add_user(SimUser(
         user_id=ATTACKER_ID,
         first_name="Mallory",

@@ -73,6 +73,8 @@ class ProximityService:
         self.teleport_cooldown_s = teleport_cooldown_s
         # Birthdate fuzz is stable per scenario; default to the world seed.
         self._fuzz_seed = world.seed if scenario_seed is None else scenario_seed
+        # user_id -> fuzz_birthdate of that user under _fuzz_seed.
+        self._fuzzy_birthdates: dict[str, date] = {}
         self._session_ids = itertools.count(1)
         self._last_move_t: dict[str, float] = {}
 
@@ -115,7 +117,8 @@ class ProximityService:
         me = self.world.position_of(session.user_id)
         requester = self.world.user(session.user_id)
         hits = []
-        for uid, user in self.world.users.items():
+        for user in self.world.candidates_within(me, radius_m):
+            uid = user.user_id
             if uid == session.user_id:
                 continue
             d = haversine_m(me, self.world.position_of(uid))
@@ -149,8 +152,11 @@ class ProximityService:
         if pol.birthdate_mode == "exact":
             birthdate = target.true_birthdate
         elif pol.birthdate_mode == "fuzzy_15d":
-            birthdate = fuzz_birthdate(target.true_birthdate, target.user_id,
-                                       self._fuzz_seed)
+            birthdate = self._fuzzy_birthdates.get(target.user_id)
+            if birthdate is None:
+                birthdate = fuzz_birthdate(target.true_birthdate, target.user_id,
+                                           self._fuzz_seed)
+                self._fuzzy_birthdates[target.user_id] = birthdate
         common = None
         if pol.interests_mode != "hidden":
             shared = requester.likes & target.likes

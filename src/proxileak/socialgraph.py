@@ -14,7 +14,7 @@ account.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, timedelta
 from typing import Callable, Iterable, Iterator
 
@@ -110,11 +110,14 @@ class IdentificationResult:
     """``pools[r]`` holds the candidate social ids after round ``r``."""
 
     social_id: str | None
-    pool_sizes: list[int]
     rounds_used: int
     identified: bool
     stalled: bool
-    pools: list[frozenset[str]] = field(default_factory=list)
+    pools: list[frozenset[str]]
+
+    @property
+    def pool_sizes(self) -> list[int]:
+        return [len(p) for p in self.pools]
 
 
 def identify(victim_view: NearbyEntry, graph: SocialGraph,
@@ -138,7 +141,7 @@ def identify(victim_view: NearbyEntry, graph: SocialGraph,
         raise ValueError("max_rounds must be >= 1")
 
     if victim_view.social_id is not None:
-        return IdentificationResult(victim_view.social_id, [1], 0, True, False,
+        return IdentificationResult(victim_view.social_id, 0, True, False,
                                     [frozenset([victim_view.social_id])])
 
     name = victim_view.first_name
@@ -150,7 +153,6 @@ def identify(victim_view: NearbyEntry, graph: SocialGraph,
     matched = graph.matching(GraphQuery(name, years, frozenset(known)))
     pool = {u.social_id for u in matched}
     pools = [frozenset(pool)]
-    pool_sizes = [len(pool)]
     if trace is not None:
         trace.append(TraceEvent("identify_round", victim_view.last_active_t,
                                 victim_view.user_id))
@@ -182,7 +184,6 @@ def identify(victim_view: NearbyEntry, graph: SocialGraph,
         matched = graph.matching(GraphQuery(name, years, frozenset(known)))
         pool = {u.social_id for u in matched}
         rounds_used = rnd
-        pool_sizes.append(len(pool))
         pools.append(frozenset(pool))
         if trace is not None:
             trace.append(TraceEvent("identify_round", view.last_active_t,
@@ -190,5 +191,5 @@ def identify(victim_view: NearbyEntry, graph: SocialGraph,
 
     identified = len(pool) == 1
     social_id = next(iter(pool)) if identified else None
-    return IdentificationResult(social_id, pool_sizes, rounds_used, identified,
-                                stalled, pools)
+    return IdentificationResult(social_id, rounds_used, identified, stalled,
+                                pools)

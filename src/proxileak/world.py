@@ -16,8 +16,10 @@ import random
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from itertools import islice
+from typing import Iterable
 
-from .geo import CoordinateError, EnuPoint, GeoPoint, from_enu, to_enu
+from .geo import (EARTH_RADIUS_M, CoordinateError, EnuPoint, GeoPoint,
+                  from_enu, to_enu)
 
 __all__ = [
     "SimUser", "PageCatalog", "DisclosurePolicy", "Trajectory",
@@ -129,9 +131,9 @@ class PageCatalog:
     def __init__(self, catalog_size: int, n_categories: int, zipf_s: float,
                  seed: int):
         rng = random.Random(derive_seed(seed, "catalog"))
-        cats = [f"cat{c:03d}" for c in range(n_categories)]
         self.page_ids = [f"pg{r:05d}" for r in range(1, catalog_size + 1)]
-        self._category = {p: rng.choice(cats) for p in self.page_ids}
+        self._category = {p: f"cat{rng.randrange(n_categories):03d}"
+                          for p in self.page_ids}
         # Cumulative rank weights, summed left to right.
         total = 0.0
         self._cum = []
@@ -275,9 +277,50 @@ POLICY_PRESETS: dict[str, DisclosurePolicy] = {
 }
 
 
+# Anchored users per grid cell that ``World``'s cell size aims for.
+GRID_OCCUPANCY = 2.0
+# Widening of a grid query's box, so that it never misses a user whom the
+# exact ``haversine_m`` filter accepts. The relative margin on the angular
+# radius covers rounding that grows as a circle nears a pole; the slack in
+# degrees covers the longitude subtraction at the antimeridian, which
+# rounds by ~1e-14 degrees whatever the radius. Neither alone is enough.
+GRID_MARGIN = 1e-6
+GRID_SLACK_DEG = 1e-9
+
+
+class _CellGrid:
+    """Anchored users by lat/lon cell, and the movers every query scans.
+
+    Rows are ``cell_deg`` of latitude. The ``n_cols`` columns split 360
+    degrees of longitude evenly, so column indices wrap at the antimeridian.
+    """
+
+    def __init__(self, cell_deg: float):
+        self.cell_deg = cell_deg
+        self.n_cols = max(1, int(360.0 // cell_deg))
+        self.col_deg = 360.0 / self.n_cols
+        self.cells: dict[tuple[int, int], list[SimUser]] = {}
+        self.movers: dict[str, SimUser] = {}
+
+    def row(self, lat_deg: float) -> int:
+        return math.floor(lat_deg / self.cell_deg)
+
+    def col(self, lon_deg: float) -> int:
+        return math.floor((lon_deg + 180.0) / self.col_deg)
+
+    def key(self, p: GeoPoint) -> tuple[int, int]:
+        return self.row(p.lat_deg), self.col(p.lon_deg) % self.n_cols
+
+
 @dataclass
 class World:
-    """Ground truth plus the single simulation clock that owns it."""
+    """Ground truth plus the single simulation clock that owns it.
+
+    Users whose position cannot change (one waypoint, no override) are
+    anchored in a cell grid, built on the first radius-bounded query;
+    trajectories change only through :meth:`set_trajectory`, which keeps
+    the grid right.
+    """
 
     users: dict[str, SimUser]
     catalog: PageCatalog
@@ -285,6 +328,7 @@ class World:
     seed: int
     now_s: float = 0.0
     _overrides: dict[str, GeoPoint] = field(default_factory=dict)
+    _grid: _CellGrid | None = field(default=None, repr=False, compare=False)
 
     def advance(self, dt_s: float) -> float:
         if dt_s < 0.0:
@@ -307,7 +351,12 @@ class World:
         return self.users[user_id].trajectory.position_at(self.now_s)
 
     def set_override(self, user_id: str, p: GeoPoint) -> None:
+        self._unanchor(user_id)
         self._overrides[user_id] = p
+
+    def set_trajectory(self, user_id: str, trajectory: Trajectory) -> None:
+        self._unanchor(user_id)
+        self.users[user_id].trajectory = trajectory
 
     def add_likes(self, user_id: str, pages: set[str]) -> None:
         unknown = {p for p in pages if p not in self.catalog}
@@ -324,6 +373,81 @@ class World:
         if bad:
             raise ValueError(f"likes outside catalog: {sorted(bad)!r}")
         self.users[user.user_id] = user
+        if self._grid is not None:
+            self._place(user)
+
+    def candidates_within(self, p: GeoPoint, radius_m: float) -> Iterable[SimUser]:
+        """A superset of the users within ``radius_m`` of ``p``.
+
+        The members of the grid cells that a conservative degree box around
+        ``p`` touches, plus the movers; every user, in insertion order, when
+        the box reaches a pole or covers more cells than are occupied.
+        """
+        # Bounding coordinates of a spherical cap (Matuschek): every point
+        # within angular distance theta of (phi, lam) has |dphi| <= theta
+        # and |dlam| <= asin(sin(theta) / cos(phi)).
+        theta = radius_m / EARTH_RADIUS_M * (1.0 + GRID_MARGIN)
+        phi = math.radians(p.lat_deg)
+        if not abs(phi) + theta < math.pi / 2.0:   # also NaN and inf radii
+            return self.users.values()
+        grid = self._grid if self._grid is not None else self._build_grid()
+        # A cap that misses the pole spans at most 90 degrees either way.
+        sin_dlon = min(1.0, math.sin(theta) / math.cos(phi))
+        dlat = math.degrees(theta) + GRID_SLACK_DEG
+        dlon = math.degrees(math.asin(sin_dlon)) + GRID_SLACK_DEG
+        rows = range(grid.row(p.lat_deg - dlat), grid.row(p.lat_deg + dlat) + 1)
+        c0 = grid.col(p.lon_deg - dlon)
+        c1 = grid.col(p.lon_deg + dlon)
+        cols = range(grid.n_cols) if c1 - c0 + 1 >= grid.n_cols else [
+            c % grid.n_cols for c in range(c0, c1 + 1)]
+        if len(rows) * len(cols) > len(grid.cells):
+            return self.users.values()
+        out = list(grid.movers.values())
+        cells = grid.cells
+        for r in rows:
+            for c in cols:
+                cell = cells.get((r, c))
+                if cell:
+                    out += cell
+        return out
+
+    def _anchor(self, user: SimUser) -> GeoPoint | None:
+        """The fixed position of a user that cannot move, else None."""
+        waypoints = user.trajectory.waypoints
+        if len(waypoints) != 1 or user.user_id in self._overrides:
+            return None
+        return waypoints[0][1]
+
+    def _place(self, user: SimUser) -> None:
+        anchor = self._anchor(user)
+        if anchor is None:
+            self._grid.movers[user.user_id] = user
+        else:
+            self._grid.cells.setdefault(self._grid.key(anchor), []).append(user)
+
+    def _build_grid(self) -> _CellGrid:
+        anchored = sum(self._anchor(u) is not None for u in self.users.values())
+        b = self.bbox
+        area = (b.lat_max - b.lat_min) * (b.lon_max - b.lon_min)
+        # No query box is narrower than twice the slack, so no cell need be.
+        self._grid = _CellGrid(max(GRID_SLACK_DEG, math.sqrt(
+            area * GRID_OCCUPANCY / max(1, anchored))))
+        for user in self.users.values():
+            self._place(user)
+        return self._grid
+
+    def _unanchor(self, user_id: str) -> None:
+        """Make ``user_id`` a mover before its position source changes."""
+        grid = self._grid
+        if grid is None or user_id in grid.movers or user_id not in self.users:
+            return
+        user = self.users[user_id]
+        key = grid.key(self._anchor(user))
+        cell = grid.cells[key]
+        cell.remove(user)
+        if not cell:
+            del grid.cells[key]
+        grid.movers[user_id] = user
 
 
 def _bounded_geometric(rng: random.Random, mean: float, cap: int) -> int:

@@ -1,8 +1,17 @@
+import importlib.util
+import os
 import random
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
 
 import pytest
 
 from proxileak.geo import GeoPoint
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -13,3 +22,25 @@ def bcn() -> GeoPoint:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)
+
+
+@pytest.fixture(scope="session")
+def compiled(tmp_path_factory):
+    """The compiled kernel module, built from the tracked ``_kernels.c``
+    with ``setup.py``'s own recipe into a temporary directory and loaded
+    from there; nothing is written into the source tree."""
+    # The compiler build_ext runs: $CC if set, else the interpreter's own.
+    cc = (os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc").split()[0]
+    if shutil.which(cc) is None:
+        pytest.skip(f"no C compiler ({cc}) to build the compiled kernels")
+    out = tmp_path_factory.mktemp("kernels")
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "build_ext", "--build-lib", str(out / "lib"),
+         "--build-temp", str(out / "tmp")],
+        cwd=ROOT, capture_output=True, text=True, check=True)
+    built = sorted((out / "lib" / "proxileak" / "mlat").glob("_kernels.*"))
+    assert built, f"setup.py built no extension:\n{proc.stderr}"
+    spec = importlib.util.spec_from_file_location("_kernels", built[0])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

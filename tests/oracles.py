@@ -3,8 +3,10 @@
 These deliberately avoid the package's own code paths: distances via the
 spherical law of cosines, the solver objective minimized by exhaustive
 grid scan (numpy), and query operations re-done as plain brute-force
-filters. ``brute_identify`` is the identification loop as it was before
-the social graph was indexed: every query scans the whole population.
+filters. ``scan_nearby`` is ``nearby`` as it was before the cell grid,
+on the package's own distance and rendering. ``brute_identify`` is the
+identification loop as it was before the social graph was indexed: every
+query scans the whole population.
 ``loop_objective_value`` and ``loop_solve_pattern`` are the pure-Python
 solver kernel as it was before it scored a whole compass ring per pass:
 one pass over the samples per candidate point.
@@ -15,7 +17,9 @@ from math import fabs, sqrt
 
 import numpy as np
 
+from proxileak.geo import haversine_m
 from proxileak.socialgraph import IdentificationResult, candidate_birth_years
+from proxileak.world import quantize_distance
 
 EARTH_RADIUS_M = 6_371_008.8
 
@@ -119,6 +123,31 @@ def loop_solve_pattern(obs_x, obs_y, dist, x0, y0, step_init, tol, max_iter,
     return cx, cy, fc, it
 
 
+def scan_nearby(service, session, radius_m):
+    """``ProximityService.nearby`` as it was before the cell grid: the
+    exact filter over every user in the world, then the same sort, the
+    same ``session.discovered`` updates and the same rendering."""
+    if radius_m <= 0.0:
+        raise ValueError("radius_m must be > 0")
+    world = service.world
+    me = world.position_of(session.user_id)
+    requester = world.user(session.user_id)
+    hits = []
+    for uid, user in world.users.items():
+        if uid == session.user_id:
+            continue
+        d = haversine_m(me, world.position_of(uid))
+        if d <= radius_m:
+            hits.append((quantize_distance(d, service.policy.distance_quantum_m),
+                         uid, user, d))
+    hits.sort(key=lambda h: (h[0], h[1]))
+    out = []
+    for qd, uid, user, d in hits:
+        session.discovered.add(uid)
+        out.append(service._render(requester, user, d))
+    return out
+
+
 def brute_nearby(world, requester_id, radius_m, haversine):
     """All user ids within radius of the requester's visible position."""
     me = world.position_of(requester_id)
@@ -167,7 +196,7 @@ def brute_identify(victim_view, population, max_rounds=10, batch_size=10,
     users_by_social = {u.social_id: u for u in population}
 
     if victim_view.social_id is not None:
-        return IdentificationResult(victim_view.social_id, [1], 0, True, False,
+        return IdentificationResult(victim_view.social_id, 0, True, False,
                                     [frozenset([victim_view.social_id])])
 
     name = victim_view.first_name
@@ -178,7 +207,6 @@ def brute_identify(victim_view, population, max_rounds=10, batch_size=10,
 
     pool = brute_forward(population, name, years, known)
     pools = [frozenset(pool)]
-    pool_sizes = [len(pool)]
     tried = set(known)
     rounds_used = 0
     stalled = False
@@ -205,10 +233,9 @@ def brute_identify(victim_view, population, max_rounds=10, batch_size=10,
         known |= set(view.common_likes or ())
         pool = brute_forward(population, name, years, known)
         rounds_used = rnd
-        pool_sizes.append(len(pool))
         pools.append(frozenset(pool))
 
     identified = len(pool) == 1
     social_id = next(iter(pool)) if identified else None
-    return IdentificationResult(social_id, pool_sizes, rounds_used, identified,
-                                stalled, pools)
+    return IdentificationResult(social_id, rounds_used, identified, stalled,
+                                pools)

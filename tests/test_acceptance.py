@@ -299,8 +299,8 @@ def test_poi_extraction_commuter():
         ang = rng.uniform(0, 2 * math.pi)
         work = from_enu(EnuPoint(5000.0 * math.cos(ang),
                                  5000.0 * math.sin(ang), home))
-        world.user(TARGET).trajectory = commuter_trajectory(
-            home, work, 28_800.0, 1800.0, 60_000.0)
+        world.set_trajectory(TARGET, commuter_trajectory(
+            home, work, 28_800.0, 1800.0, 60_000.0))
         session = svc.login(ATTACKER)
         prior = from_enu(EnuPoint(rng.uniform(-250, 250),
                                   rng.uniform(-250, 250), home))

@@ -23,7 +23,7 @@ TARGET = "u00000"
 def build_scene(policy=None, target_traj=None, seed=6):
     world = generate_population(3, 100, 1.0, seed=seed)
     if target_traj is not None:
-        world.user(TARGET).trajectory = target_traj
+        world.set_trajectory(TARGET, target_traj)
     world.add_user(SimUser(ATTACKER, "Mallory", date(1990, 1, 1),
                            stationary_trajectory(world.bbox.center),
                            set(), "fb-attacker"))

@@ -3,21 +3,13 @@ bit, so the artifact's determinism does not depend on which one loads. The
 pure kernel must also agree bit for bit with the one-candidate-per-pass
 loop it replaced (``tests/oracles.py``), which needs no compiler.
 
-The compiled module is built from the tracked ``_kernels.c`` once per test
-session, with ``setup.py``'s own recipe, into a temporary directory, and
-loaded from there; nothing is written into the source tree.
+The compiled module comes from the session fixture ``compiled`` in
+``conftest.py``.
 """
 
-import importlib.util
 import math
-import os
-import shutil
 import struct
-import subprocess
-import sys
-import sysconfig
 from array import array
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,27 +17,6 @@ from hypothesis import strategies as st
 
 from oracles import loop_objective_value, loop_solve_pattern
 from proxileak.mlat import _kernels_py as pure
-
-ROOT = Path(__file__).resolve().parents[1]
-
-
-@pytest.fixture(scope="session")
-def compiled(tmp_path_factory):
-    # The compiler build_ext runs: $CC if set, else the interpreter's own.
-    cc = (os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc").split()[0]
-    if shutil.which(cc) is None:
-        pytest.skip(f"no C compiler ({cc}) to build the compiled kernels")
-    out = tmp_path_factory.mktemp("kernels")
-    proc = subprocess.run(
-        [sys.executable, "setup.py", "build_ext", "--build-lib", str(out / "lib"),
-         "--build-temp", str(out / "tmp")],
-        cwd=ROOT, capture_output=True, text=True, check=True)
-    built = sorted((out / "lib" / "proxileak" / "mlat").glob("_kernels.*"))
-    assert built, f"setup.py built no extension:\n{proc.stderr}"
-    spec = importlib.util.spec_from_file_location("_kernels", built[0])
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def random_instance(rng, n):

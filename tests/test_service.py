@@ -8,7 +8,7 @@ from proxileak.geo import GeoPoint, from_enu, EnuPoint, haversine_m
 from proxileak.service import (AuthError, NotFoundError, ProximityService,
                                RateError)
 from proxileak.world import (DisclosurePolicy, POLICY_PRESETS,
-                             generate_population)
+                             fuzz_birthdate, generate_population)
 
 
 def make_service(n=20, seed=4, policy=None, **kw):
@@ -228,3 +228,19 @@ def test_fuzzy_birthdate_stable_across_queries():
     world.advance(3600.0)
     f2 = svc.profile(s, ids[1]).fuzzy_birthdate
     assert f1 == f2
+
+
+def test_memoized_fuzz_equals_fuzz_birthdate_under_the_scenario_seed():
+    world, svc = make_service(n=40, scenario_seed=99,
+                              policy=DisclosurePolicy(birthdate_mode="fuzzy_15d"))
+    s = svc.login("u00000")
+    first = svc.nearby(s, 1e9)
+    again = [svc.profile(s, e.user_id) for e in first]
+    for e, p in zip(first, again):
+        truth = world.user(e.user_id).true_birthdate
+        assert e.fuzzy_birthdate == p.fuzzy_birthdate == fuzz_birthdate(
+            truth, e.user_id, 99)
+    # The scenario seed, not the world seed, drives the fuzz.
+    assert any(e.fuzzy_birthdate != fuzz_birthdate(
+        world.user(e.user_id).true_birthdate, e.user_id, world.seed)
+        for e in first)

@@ -270,8 +270,11 @@ def test_identify_equals_brute_force_loop(case):
 
 
 def test_identification_csv(tmp_path):
-    rows = [(1, IdentificationResult("s0", [5, 1], 1, True, False)),
-            (2, IdentificationResult(None, [4, 2, 2], 2, False, True))]
+    def pools(*sizes):
+        return [frozenset(f"s{i}" for i in range(n)) for n in sizes]
+
+    rows = [(1, IdentificationResult("s0", 1, True, False, pools(5, 1))),
+            (2, IdentificationResult(None, 2, False, True, pools(4, 2, 2)))]
     out = write_csv(tmp_path / "ident.csv",
                     ("seed", "rounds_used", "final_pool", "identified"),
                     ((seed, r.rounds_used, r.pool_sizes[-1], int(r.identified))

@@ -1,6 +1,7 @@
 import datetime
 import math
 import random
+import tracemalloc
 
 import pytest
 from scipy.stats import chi2
@@ -67,6 +68,17 @@ def test_like_rank_frequencies_decay():
     ranked = [counts[p] for p in w.catalog.page_ids]  # rank order
     deciles = [sum(ranked[i:i + 100]) for i in range(0, 1000, 100)]
     assert deciles == sorted(deciles, reverse=True)
+
+
+def test_catalog_memory_is_bounded_by_the_catalog_not_the_categories():
+    tracemalloc.start()
+    try:
+        catalog = PageCatalog(200, 2_000_000, 1.0, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert all(catalog.category_of(p).startswith("cat") for p in catalog.top(200))
 
 
 def test_steep_catalog_fills_likes_from_the_top_ranks():
