@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 from .geo import EnuPoint, GeoPoint, from_enu, to_enu
 from .mlat import (DegenerateGeometryError, DistanceSample, PositionEstimate,
@@ -112,10 +112,6 @@ class Attacker:
 
     # -- acquisition -------------------------------------------------------
 
-    def discover(self, radius_m: float):
-        """Initial sweep; targets must appear here before they can be polled."""
-        return self.service.nearby(self.session, radius_m)
-
     def sample_distance(self, target_id: str, probe: GeoPoint) -> DistanceSample:
         """Move to ``probe``, poll the target, return the observation."""
         self.service.update_location(self.session, probe)
@@ -128,10 +124,6 @@ class Attacker:
         self.trace.append(TraceEvent("profile_poll", t, target_id))
         return DistanceSample(to_enu(probe, self.ref), entry.distance_m, t,
                               self.service.policy.distance_quantum_m)
-
-    def collect_samples(self, target_id: str,
-                        points: Sequence[GeoPoint]) -> list[DistanceSample]:
-        return [self.sample_distance(target_id, p) for p in points]
 
     # -- attacks -----------------------------------------------------------
 
@@ -154,8 +146,8 @@ class Attacker:
                 center = from_enu(multilaterate(samples, cfg).p_hat)
                 radius = max(radius / 2.0, 50.0)
             n = per_round if r < rounds - 1 else plan.count - per_round * r
-            samples += self.collect_samples(
-                target_id, ring_points(center, radius, n, plan.angle0_rad))
+            samples += [self.sample_distance(target_id, p)
+                        for p in ring_points(center, radius, n, plan.angle0_rad)]
         est = multilaterate(samples, cfg)
         self.last_samples = samples
         self.trace.append(TraceEvent("localize_result", samples[-1].t,

@@ -31,7 +31,9 @@ Keys (defaults in parentheses):
   n_categories          page categories (25)
   policy_preset         tinder|happn|lovoo|grindr|badoo|custom (custom)
   share_distance        bool (true)
-  distance_quantum_m    floor-quantization step, 0 = exact (100)
+  distance_quantum_m    floor-quantization step, 0 = exact (100); a
+                        positive step must keep pi * 6371008.8 m / step
+                        finite (>= ~1.1e-301)
   share_first_name      bool (true)
   birthdate_mode        exact|fuzzy_15d|hidden (fuzzy_15d)
   interests_mode        pages|categories|hidden (pages)
@@ -213,6 +215,8 @@ def _check(f, v) -> None:
         raise ValueError(f"must be finite, got {v!r}")
     if f.type == _BBOX:
         BoundingBox(*v)
+    if f.name == "distance_quantum_m":
+        DisclosurePolicy(distance_quantum_m=v)
 
 
 def validate(cfg: ScenarioConfig) -> ScenarioConfig:

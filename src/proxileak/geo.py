@@ -105,9 +105,3 @@ def from_enu(p: EnuPoint) -> GeoPoint:
         p.x_m / (EARTH_RADIUS_M * math.cos(math.radians(ref.lat_deg))))
     return GeoPoint(lat, lon)
 
-
-def enu_distance_m(a: EnuPoint, b: EnuPoint) -> float:
-    """Euclidean distance between two points sharing the same reference."""
-    if a.ref != b.ref:
-        raise ValueError("ENU points use different references")
-    return math.hypot(a.x_m - b.x_m, a.y_m - b.y_m)

@@ -10,23 +10,19 @@ import os
 
 from . import _kernels_py as _pure
 
-_compiled = None
-if os.environ.get("PROXILEAK_PURE", "") != "1":
-    try:
-        from . import _kernels as _compiled  # type: ignore[no-redef]
-    except ImportError:
-        _compiled = None
+try:
+    from . import _kernels as _compiled
+except ImportError:
+    _compiled = None
 
-impl = _compiled if _compiled is not None else _pure
-BACKEND = "compiled" if _compiled is not None else "pure-python"
+impl = (_pure if _compiled is None or os.environ.get("PROXILEAK_PURE", "") == "1"
+        else _compiled)
+BACKEND = "compiled" if impl is _compiled else "pure-python"
 
 
 def available_backends():
     """Name -> kernel module for every importable backend."""
     out = {"pure-python": _pure}
-    try:
-        from . import _kernels
-        out["compiled"] = _kernels
-    except ImportError:
-        pass
+    if _compiled is not None:
+        out["compiled"] = _compiled
     return out

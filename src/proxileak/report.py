@@ -3,9 +3,10 @@
 Traces are append-only logs of attacker actions. ``classify`` labels every
 trace event with privacy-violation categories from a fixed four-category
 taxonomy (collection / processing / dissemination / invasion, each with a
-closed activity vocabulary). ``emit`` ends an attack run: it logs the export,
-then renders deterministic CSV files and small self-contained SVG plots
-(fixed 800x600 canvas, stable element ids).
+closed activity vocabulary). ``emit`` ends an attack run: it logs the export
+and writes the violation tables. The ``write_*`` functions render
+deterministic CSV files and small self-contained SVG plots (fixed 800x600
+canvas, stable element ids).
 Every CSV goes through ``write_csv``, every file through ``_write``.
 """
 
@@ -172,7 +173,6 @@ def write_csv(path: Path, header: Sequence[str],
 
 def write_runtime_grid(rows: list[tuple[int, int, float]], out_dir: Path) -> None:
     """(samples, iterations, seconds) grid as CSV plus a log-log SVG."""
-    out_dir = Path(out_dir)
     write_csv(out_dir / "runtime_grid.csv", ("samples", "iterations", "seconds"),
               ((n, it, float(sec)) for n, it, sec in rows))
 
@@ -191,12 +191,9 @@ def write_runtime_grid(rows: list[tuple[int, int, float]], out_dir: Path) -> Non
     _write(out_dir / "runtime_grid.svg", _svg(elements))
 
 
-def write_probe_map(samples: list[DistanceSample],
-                    estimate: PositionEstimate | None,
-                    truth_xy: tuple[float, float] | None,
-                    out_dir: Path) -> None:
+def write_probe_map(samples: list[DistanceSample], estimate: PositionEstimate,
+                    truth_xy: tuple[float, float], out_dir: Path) -> None:
     """Map of probe circles (one per sample) plus estimate/truth markers."""
-    out_dir = Path(out_dir)
     # float() keeps a column's format when a caller passes integer values.
     write_csv(
         out_dir / "samples.csv",
@@ -207,12 +204,8 @@ def write_probe_map(samples: list[DistanceSample],
     for s in samples:
         xs += [s.observer.x_m - s.reported_m, s.observer.x_m + s.reported_m]
         ys += [s.observer.y_m - s.reported_m, s.observer.y_m + s.reported_m]
-    if estimate is not None:
-        xs.append(estimate.p_hat.x_m)
-        ys.append(estimate.p_hat.y_m)
-    if truth_xy is not None:
-        xs.append(truth_xy[0])
-        ys.append(truth_xy[1])
+    xs += [estimate.p_hat.x_m, truth_xy[0]]
+    ys += [estimate.p_hat.y_m, truth_xy[1]]
     sc = _Scale(xs, ys, keep_aspect=True)
     elements = []
     for i, s in enumerate(samples):
@@ -220,19 +213,16 @@ def write_probe_map(samples: list[DistanceSample],
             f'<circle id="sample-circle-{i}" cx="{sc.x(s.observer.x_m):.2f}" '
             f'cy="{sc.y(s.observer.y_m):.2f}" r="{sc.r(s.reported_m):.2f}" '
             f'fill="none" stroke="steelblue"/>')
-    if truth_xy is not None:
-        elements.append(f'<circle id="truth-marker" cx="{sc.x(truth_xy[0]):.2f}" '
-                        f'cy="{sc.y(truth_xy[1]):.2f}" r="4" fill="green"/>')
-    if estimate is not None:
-        elements.append(f'<circle id="estimate-marker" '
-                        f'cx="{sc.x(estimate.p_hat.x_m):.2f}" '
-                        f'cy="{sc.y(estimate.p_hat.y_m):.2f}" r="4" fill="red"/>')
+    elements.append(f'<circle id="truth-marker" cx="{sc.x(truth_xy[0]):.2f}" '
+                    f'cy="{sc.y(truth_xy[1]):.2f}" r="4" fill="green"/>')
+    elements.append(f'<circle id="estimate-marker" '
+                    f'cx="{sc.x(estimate.p_hat.x_m):.2f}" '
+                    f'cy="{sc.y(estimate.p_hat.y_m):.2f}" r="4" fill="red"/>')
     _write(out_dir / "probe_map.svg", _svg(elements))
 
 
 def write_pool_curve(pool_rows: list[tuple[str, int, int]], out_dir: Path) -> None:
     """Identification pool sizes per round (long form) plus a median curve."""
-    out_dir = Path(out_dir)
     write_csv(out_dir / "pool_sizes.csv", ("run", "round", "pool_size"),
               pool_rows)
 
@@ -255,7 +245,6 @@ def write_pool_curve(pool_rows: list[tuple[str, int, int]], out_dir: Path) -> No
 def write_error_vs_quantum(rows: list[tuple[float, float, float, int]],
                            out_dir: Path) -> None:
     """(quantum, median error, mean error, trials) rows, ascending quantum."""
-    out_dir = Path(out_dir)
     rows = sorted(rows)
     write_csv(out_dir / "error_vs_quantum.csv",
               ("quantum_m", "median_error_m", "mean_error_m", "trials"), rows)
@@ -269,7 +258,6 @@ def write_error_vs_quantum(rows: list[tuple[float, float, float, int]],
 def write_violations(report: ViolationReport, out_dir: Path) -> None:
     """Tallies over the full closed vocabulary (zero rows included) plus
     per-event labels. Activities never produced stay visible as count 0."""
-    out_dir = Path(out_dir)
     write_csv(out_dir / "violations.csv", ("category", "activity", "count"),
               ((cat, act, report.tallies.get((cat, act), 0))
                for cat, acts in TAXONOMY.items() for act in acts))
@@ -278,20 +266,9 @@ def write_violations(report: ViolationReport, out_dir: Path) -> None:
               report.labels)
 
 
-def emit(out_dir: Path, trace: AttackTrace, *, probe_map=None,
-         pool_rows=None) -> None:
+def emit(out_dir: Path, trace: AttackTrace) -> None:
     """End an attack run: log the export in ``trace``, then write the
-    trace's violation tables and whichever plots are provided into
-    ``out_dir``.
-
-    ``probe_map`` is a (samples, estimate, truth_xy) triple. Identical
-    inputs produce byte-identical files.
-    """
+    trace's violation tables into ``out_dir``."""
     t = trace.events[-1].t if trace.events else 0.0
     trace.append(TraceEvent("export", t))
     write_violations(classify(trace), out_dir)
-    if probe_map is not None:
-        samples, estimate, truth_xy = probe_map
-        write_probe_map(samples, estimate, truth_xy, out_dir)
-    if pool_rows is not None:
-        write_pool_curve(pool_rows, out_dir)

@@ -3,8 +3,7 @@ emit artifacts.
 
 Every run writes ``manifest.cfg`` (the fully resolved configuration), the
 attack's CSV/SVG artifacts, and the trace's violation classification into
-the output directory. Everything except measured wall-clock columns is a
-pure function of (config, seed).
+the output directory. Every artifact is a pure function of (config, seed).
 """
 
 from __future__ import annotations
@@ -75,7 +74,7 @@ def build_world(cfg: ScenarioConfig, seed: int | None = None) -> World:
         first_name="Mallory",
         true_birthdate=date(1990, 1, 1),
         trajectory=stationary_trajectory(bbox.center),
-        likes=set(world.catalog.top(cfg.attacker_top_likes)),
+        likes=set(world.catalog.page_ids[:cfg.attacker_top_likes]),
         social_id="fb-attacker",
     ))
     return world
@@ -126,10 +125,9 @@ def _open_attack(cfg: ScenarioConfig, seed: int,
     session = service.login(ATTACKER_ID)
     prior = _coarse_prior(world.true_position_of(TARGET_ID),
                           cfg.probe_center_offset_m, seed)
-    agent = Attacker(service, session, ref=prior, trace=trace,
-                     advance=world.advance)
-    agent.discover(DISCOVER_RADIUS_M)
-    return agent
+    service.nearby(session, DISCOVER_RADIUS_M)
+    return Attacker(service, session, ref=prior, trace=trace,
+                    advance=world.advance)
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> RunResult:
@@ -160,11 +158,12 @@ def _run_localize(cfg: ScenarioConfig, out: Path) -> dict[str, float]:
         rows.append((trial, tseed, err, est.residual, est.iterations_used))
         if trial == 0:
             t_enu = to_enu(truth, agent.ref)
-            probe_map = (agent.last_samples, est, (t_enu.x_m, t_enu.y_m))
+            report.write_probe_map(agent.last_samples, est,
+                                   (t_enu.x_m, t_enu.y_m), out)
     report.write_csv(out / "localize_trials.csv",
                      ("trial", "seed", "error_m", "residual_m", "iterations"),
                      rows)
-    report.emit(out, trace, probe_map=probe_map)
+    report.emit(out, trace)
     errors = [r[2] for r in rows]
     return {
         "trials": cfg.trials,
@@ -200,7 +199,7 @@ def _run_track(cfg: ScenarioConfig, out: Path) -> dict[str, float]:
     if pois:
         t_last = record.estimates[-1][0]
         waypoints = [wp for t, wp in
-                     agent.service.world.user(TARGET_ID).trajectory.waypoints
+                     agent.service.world.users[TARGET_ID].trajectory.waypoints
                      if t <= t_last]
         errs = [min(haversine_m(from_enu(p.center), wp) for wp in waypoints)
                 for p in pois]
@@ -215,7 +214,7 @@ def _run_identify(cfg: ScenarioConfig, out: Path) -> dict[str, float]:
     # Indexed once: only the attacker's likes change during the run.
     population = SocialGraph(u for u in world.users.values()
                              if u.user_id != ATTACKER_ID)
-    initial_likes = set(world.user(ATTACKER_ID).likes)
+    initial_likes = set(world.users[ATTACKER_ID].likes)
     victim_ids = [u.user_id for u in population][:cfg.identify_victims]
     rows, pool_rows, hits = [], [], 0
     for vid in victim_ids:
@@ -236,12 +235,13 @@ def _run_identify(cfg: ScenarioConfig, out: Path) -> dict[str, float]:
         vseed = derive_seed(cfg.seed, "victim", vid)
         rows.append((vseed, res))
         pool_rows += [(vid, rnd, size) for rnd, size in enumerate(res.pool_sizes)]
-        hits += int(res.identified and res.social_id == world.user(vid).social_id)
+        hits += int(res.identified and res.social_id == world.users[vid].social_id)
     report.write_csv(out / "identification.csv",
                      ("seed", "rounds_used", "final_pool", "identified"),
                      ((seed, r.rounds_used, r.pool_sizes[-1], int(r.identified))
                       for seed, r in rows))
-    report.emit(out, trace, pool_rows=pool_rows)
+    report.write_pool_curve(pool_rows, out)
+    report.emit(out, trace)
     return {
         "victims": len(victim_ids),
         "identification_rate": hits / len(victim_ids),

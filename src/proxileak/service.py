@@ -10,7 +10,6 @@ respect to location updates.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from datetime import date
 
@@ -55,7 +54,6 @@ class NearbyEntry:
 
 @dataclass
 class Session:
-    session_id: int
     user_id: str
     discovered: set[str]
 
@@ -75,7 +73,6 @@ class ProximityService:
         self._fuzz_seed = world.seed if scenario_seed is None else scenario_seed
         # user_id -> fuzz_birthdate of that user under _fuzz_seed.
         self._fuzzy_birthdates: dict[str, date] = {}
-        self._session_ids = itertools.count(1)
         self._last_move_t: dict[str, float] = {}
 
     # -- session lifecycle -------------------------------------------------
@@ -84,7 +81,7 @@ class ProximityService:
         """Tokens are user ids; unknown tokens are rejected."""
         if token not in self.world.users:
             raise AuthError(f"unknown token {token!r}")
-        return Session(next(self._session_ids), token, set())
+        return Session(token, set())
 
     # -- requests ----------------------------------------------------------
 
@@ -115,7 +112,7 @@ class ProximityService:
         if radius_m <= 0.0:
             raise ValueError("radius_m must be > 0")
         me = self.world.position_of(session.user_id)
-        requester = self.world.user(session.user_id)
+        requester = self.world.users[session.user_id]
         hits = []
         for user in self.world.candidates_within(me, radius_m):
             uid = user.user_id
@@ -137,9 +134,9 @@ class ProximityService:
         if user_id not in self.world.users or user_id not in session.discovered:
             raise NotFoundError(user_id)
         me = self.world.position_of(session.user_id)
-        target = self.world.user(user_id)
         d = haversine_m(me, self.world.position_of(user_id))
-        return self._render(self.world.user(session.user_id), target, d)
+        return self._render(self.world.users[session.user_id],
+                            self.world.users[user_id], d)
 
     # -- policy application --------------------------------------------------
 

@@ -109,15 +109,24 @@ def candidate_birth_years(disclosed: date, fuzzy: bool) -> frozenset[int]:
 class IdentificationResult:
     """``pools[r]`` holds the candidate social ids after round ``r``."""
 
-    social_id: str | None
-    rounds_used: int
-    identified: bool
-    stalled: bool
     pools: list[frozenset[str]]
 
     @property
     def pool_sizes(self) -> list[int]:
         return [len(p) for p in self.pools]
+
+    @property
+    def rounds_used(self) -> int:
+        return len(self.pools) - 1
+
+    @property
+    def identified(self) -> bool:
+        return len(self.pools[-1]) == 1
+
+    @property
+    def social_id(self) -> str | None:
+        """The one remaining candidate when identified, else None."""
+        return next(iter(self.pools[-1])) if self.identified else None
 
 
 def identify(victim_view: NearbyEntry, graph: SocialGraph,
@@ -141,8 +150,7 @@ def identify(victim_view: NearbyEntry, graph: SocialGraph,
         raise ValueError("max_rounds must be >= 1")
 
     if victim_view.social_id is not None:
-        return IdentificationResult(victim_view.social_id, 0, True, False,
-                                    [frozenset([victim_view.social_id])])
+        return IdentificationResult([frozenset([victim_view.social_id])])
 
     name = victim_view.first_name
     known: set[str] = set(victim_view.common_likes or ()) if interests_are_pages else set()
@@ -151,30 +159,24 @@ def identify(victim_view: NearbyEntry, graph: SocialGraph,
         years = candidate_birth_years(victim_view.fuzzy_birthdate, birthdate_is_fuzzy)
 
     matched = graph.matching(GraphQuery(name, years, frozenset(known)))
-    pool = {u.social_id for u in matched}
-    pools = [frozenset(pool)]
+    pools = [frozenset(u.social_id for u in matched)]
     if trace is not None:
         trace.append(TraceEvent("identify_round", victim_view.last_active_t,
                                 victim_view.user_id))
 
     tried = set(known)
-    rounds_used = 0
-    stalled = False
-    for rnd in range(1, max_rounds + 1):
-        if len(pool) <= 1:
-            break
-        if not interests_are_pages or like_and_refresh is None:
-            stalled = True
+    for _ in range(max_rounds):
+        if (len(pools[-1]) <= 1 or not interests_are_pages
+                or like_and_refresh is None):
             break
         # The pool was matched against the current ``known``, so the pages
         # its users like are exactly what reverse search would return.
         freq = Counter(p for u in matched for p in u.likes
                        if p not in known and p not in tried)
         if not freq:
-            stalled = True
             break
         # Prefer pages that split the pool most evenly; deterministic ties.
-        half = len(pool) / 2.0
+        half = len(pools[-1]) / 2.0
         batch = set(sorted(freq, key=lambda p: (abs(freq[p] - half), p))
                     [:batch_size])
         tried |= batch
@@ -182,14 +184,9 @@ def identify(victim_view: NearbyEntry, graph: SocialGraph,
         confirmed = set(view.common_likes or ())  # full intersection, fresh
         known |= confirmed
         matched = graph.matching(GraphQuery(name, years, frozenset(known)))
-        pool = {u.social_id for u in matched}
-        rounds_used = rnd
-        pools.append(frozenset(pool))
+        pools.append(frozenset(u.social_id for u in matched))
         if trace is not None:
             trace.append(TraceEvent("identify_round", view.last_active_t,
                                     victim_view.user_id))
 
-    identified = len(pool) == 1
-    social_id = next(iter(pool)) if identified else None
-    return IdentificationResult(social_id, rounds_used, identified, stalled,
-                                pools)
+    return IdentificationResult(pools)

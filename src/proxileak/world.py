@@ -147,9 +147,6 @@ class PageCatalog:
     def category_of(self, page_id: str) -> str:
         return self._category[page_id]
 
-    def top(self, n: int) -> list[str]:
-        return self.page_ids[:n]
-
     def sample_likes(self, count: int, rng: random.Random) -> set[str]:
         """``count`` distinct pages, rank-weighted by rank**-zipf_s, within
         the draw budget of ``MAX_DRAWS_PER_LIKE``."""
@@ -254,6 +251,13 @@ class DisclosurePolicy:
             raise ValueError(f"bad interests_mode: {self.interests_mode!r}")
         if self.distance_quantum_m < 0.0:
             raise ValueError("distance_quantum_m must be >= 0")
+        # quantize_distance divides by the quantum, and no haversine_m
+        # distance exceeds half the circumference.
+        if (self.distance_quantum_m > 0.0 and not math.isfinite(
+                math.pi * EARTH_RADIUS_M / self.distance_quantum_m)):
+            raise ValueError("distance_quantum_m must be 0 or keep "
+                             "pi * EARTH_RADIUS_M / distance_quantum_m finite, "
+                             f"got {self.distance_quantum_m!r}")
 
 
 # Feature matrices of well-known proximity apps, as policy presets. The
@@ -335,9 +339,6 @@ class World:
             raise ValueError("the clock only moves forward")
         self.now_s += dt_s
         return self.now_s
-
-    def user(self, user_id: str) -> SimUser:
-        return self.users[user_id]
 
     def position_of(self, user_id: str) -> GeoPoint:
         """Service-visible position now: explicit override if set, else

@@ -12,9 +12,15 @@ under an interpreter without pytest, run from the repository root::
     PYTHONPATH=src python tests/golden.py
 
 It prints one line per case and exits with status 1 on any mismatch.
+Given interpreter paths, it re-runs itself under each one instead and
+prints each interpreter's summary line, after the lines of any case that
+failed there::
+
+    PYTHONPATH=src python tests/golden.py /path/to/python3.10 /path/to/python3.13
 """
 
 import hashlib
+import subprocess
 import sys
 import tempfile
 from functools import partial
@@ -163,7 +169,27 @@ def sweep_digests(out):
     return _digests(out.iterdir(), out)
 
 
+def run_under(interpreters):
+    """This script under each interpreter in turn; 1 if any run failed."""
+    failed = 0
+    for exe in interpreters:
+        proc = subprocess.run([exe, __file__], capture_output=True, text=True)
+        out = proc.stdout.splitlines()
+        if out and out[-1].startswith("python "):
+            summary = out[-1]
+        else:  # it stopped before the summary: show why
+            summary = (proc.stderr.splitlines()
+                       or [f"exit status {proc.returncode}"])[-1]
+        for line in [line for line in out if line.startswith("FAIL")]:
+            print(line)
+        print(f"{exe}: {summary}")
+        failed += proc.returncode != 0
+    return 1 if failed else 0
+
+
 def main():
+    if sys.argv[1:]:
+        return run_under(sys.argv[1:])
     cases = [(s, partial(run_digests, s, {}), GOLDEN[s]) for s in sorted(GOLDEN)]
     cases += [(f"{s} {o}", partial(run_digests, s, parse_overrides(o)),
                OVERRIDE_GOLDEN[s, o])

@@ -131,7 +131,7 @@ def scan_nearby(service, session, radius_m):
         raise ValueError("radius_m must be > 0")
     world = service.world
     me = world.position_of(session.user_id)
-    requester = world.user(session.user_id)
+    requester = world.users[session.user_id]
     hits = []
     for uid, user in world.users.items():
         if uid == session.user_id:
@@ -146,18 +146,6 @@ def scan_nearby(service, session, radius_m):
         session.discovered.add(uid)
         out.append(service._render(requester, user, d))
     return out
-
-
-def brute_nearby(world, requester_id, radius_m, haversine):
-    """All user ids within radius of the requester's visible position."""
-    me = world.position_of(requester_id)
-    out = []
-    for uid in world.users:
-        if uid == requester_id:
-            continue
-        if haversine(me, world.position_of(uid)) <= radius_m:
-            out.append(uid)
-    return set(out)
 
 
 def brute_forward(population, name, birth_years, liked_pages):
@@ -196,8 +184,7 @@ def brute_identify(victim_view, population, max_rounds=10, batch_size=10,
     users_by_social = {u.social_id: u for u in population}
 
     if victim_view.social_id is not None:
-        return IdentificationResult(victim_view.social_id, 0, True, False,
-                                    [frozenset([victim_view.social_id])])
+        return IdentificationResult([frozenset([victim_view.social_id])])
 
     name = victim_view.first_name
     known = set(victim_view.common_likes or ()) if interests_are_pages else set()
@@ -208,17 +195,13 @@ def brute_identify(victim_view, population, max_rounds=10, batch_size=10,
     pool = brute_forward(population, name, years, known)
     pools = [frozenset(pool)]
     tried = set(known)
-    rounds_used = 0
-    stalled = False
-    for rnd in range(1, max_rounds + 1):
+    for _ in range(max_rounds):
         if len(pool) <= 1:
             break
         if not interests_are_pages or like_and_refresh is None:
-            stalled = True
             break
         candidates = brute_reverse(population, name, years, known) - tried
         if not candidates:
-            stalled = True
             break
         freq = {p: 0 for p in candidates}
         for sid in pool:
@@ -232,10 +215,5 @@ def brute_identify(victim_view, population, max_rounds=10, batch_size=10,
         view = like_and_refresh(batch)
         known |= set(view.common_likes or ())
         pool = brute_forward(population, name, years, known)
-        rounds_used = rnd
         pools.append(frozenset(pool))
-
-    identified = len(pool) == 1
-    social_id = next(iter(pool)) if identified else None
-    return IdentificationResult(social_id, rounds_used, identified, stalled,
-                                pools)
+    return IdentificationResult(pools)

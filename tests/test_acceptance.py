@@ -190,7 +190,7 @@ def test_graph_search_refinement():
         world, svc = attack_world(pop_seed, n=10_000, catalog=2000,
                                   mean_likes=6.0,
                                   attacker_likes=[])
-        world.users[ATTACKER].likes = set(world.catalog.top(10))
+        world.users[ATTACKER].likes = set(world.catalog.page_ids[:10])
         initial = set(world.users[ATTACKER].likes)
         session = svc.login(ATTACKER)
         svc.nearby(session, 1e9)
@@ -207,7 +207,7 @@ def test_graph_search_refinement():
 
             res = identify(view, graph, like_and_refresh=refresh)
             runs += 1
-            truth_sid = world.user(vid).social_id
+            truth_sid = world.users[vid].social_id
             sound += all(truth_sid in p for p in res.pools)
             monotone += res.pool_sizes == sorted(res.pool_sizes, reverse=True)
             identified += int(res.identified and res.social_id == truth_sid)
@@ -228,7 +228,7 @@ def test_interest_overlap_calibration():
     for seed in range(50):
         world = generate_population(250, 1000, 1.0, seed=derive_seed(seed, "overlap"),
                                     mean_likes=0.7)
-        top10 = set(world.catalog.top(10))
+        top10 = set(world.catalog.page_ids[:10])
         hits = sum(1 for u in world.users.values() if u.likes & top10)
         per_seed.append(hits / 250)
         sharing += hits
@@ -263,7 +263,7 @@ def test_category_mitigation():
             res = identify(view, graph, like_and_refresh=refresh,
                            interests_are_pages=(mode == "pages"))
             hits += int(res.identified
-                        and res.social_id == world.user(u.user_id).social_id)
+                        and res.social_id == world.users[u.user_id].social_id)
         return hits
 
     strict = 0
@@ -273,7 +273,7 @@ def test_category_mitigation():
                                     mean_likes=5.0)
         world.add_user(SimUser(ATTACKER, "Mallory", date(1990, 1, 1),
                                stationary_trajectory(world.bbox.center),
-                               set(world.catalog.top(10)), "fb-attacker"))
+                               set(world.catalog.page_ids[:10]), "fb-attacker"))
         population = [u for u in world.users.values() if u.user_id != ATTACKER]
         initial = set(world.users[ATTACKER].likes)
         victims = population[:12]
@@ -304,8 +304,8 @@ def test_poi_extraction_commuter():
         session = svc.login(ATTACKER)
         prior = from_enu(EnuPoint(rng.uniform(-250, 250),
                                   rng.uniform(-250, 250), home))
+        svc.nearby(session, 1e9)
         agent = Attacker(svc, session, ref=prior, advance=world.advance)
-        agent.discover(1e9)
         plan = ProbePlan(strategy="ring", count=16, ring_radius_m=1000.0,
                          center=prior, angle0_rad=rng.uniform(0, 2 * math.pi))
         record = agent.track(TARGET, 3600.0, 57_600.0, plan,

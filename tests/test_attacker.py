@@ -8,7 +8,7 @@ import pytest
 import proxileak.attacker as attacker_mod
 from proxileak.attacker import (Attacker, Poi, PolicyBlockedError, ProbePlan,
                                 TrackRecord, extract_pois, ring_points)
-from proxileak.geo import EnuPoint, enu_distance_m, from_enu, haversine_m, to_enu
+from proxileak.geo import EnuPoint, from_enu, haversine_m, to_enu
 from proxileak.mlat import PositionEstimate, SolverConfig
 from proxileak.report import write_csv
 from proxileak.service import ProximityService
@@ -30,8 +30,8 @@ def build_scene(policy=None, target_traj=None, seed=6):
     svc = ProximityService(world, policy or DisclosurePolicy())
     session = svc.login(ATTACKER)
     truth = world.true_position_of(TARGET)
+    svc.nearby(session, 1e6)
     agent = Attacker(svc, session, ref=truth, advance=world.advance)
-    agent.discover(1e6)
     return world, svc, agent, truth
 
 
@@ -170,9 +170,11 @@ def test_track_commuter_two_clusters():
     # cluster around home and work respectively
     home_e, work_e = to_enu(home, agent.ref), to_enu(work, agent.ref)
     near_home = [e for t, e in record.estimates
-                 if t <= 28_800 and enu_distance_m(e.p_hat, home_e) < 150.0]
+                 if t <= 28_800 and math.hypot(e.p_hat.x_m - home_e.x_m,
+                                               e.p_hat.y_m - home_e.y_m) < 150.0]
     near_work = [e for t, e in record.estimates
-                 if t >= 32_400 and enu_distance_m(e.p_hat, work_e) < 150.0]
+                 if t >= 32_400 and math.hypot(e.p_hat.x_m - work_e.x_m,
+                                               e.p_hat.y_m - work_e.y_m) < 150.0]
     assert len(near_home) >= 7
     assert len(near_work) >= 6
 

@@ -1,0 +1,45 @@
+"""The names the benchmark in ``perfbench/`` reaches into the package by.
+
+``perfbench/tracing.py`` patches functions and methods by dotted name, and
+``perfbench/run.py`` builds a ``ProximityService`` with keyword arguments.
+Its own tests sit outside the default test paths, so these checks keep a
+renamed or deleted name from breaking the benchmark unnoticed. Nothing is
+patched here.
+"""
+
+import ast
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+from proxileak.service import ProximityService
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+_spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                               PERFBENCH / "tracing.py")
+tracing = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(tracing)
+
+
+@pytest.mark.parametrize("span", sorted(tracing.TARGETS))
+def test_every_traced_target_resolves(span):
+    module_name, path, _ = tracing.TARGETS[span]
+    owner, attr = tracing._resolve(module_name, path)
+    assert callable(getattr(owner, attr))
+
+
+def test_service_accepts_the_arguments_of_the_serve_replay():
+    tree = ast.parse((PERFBENCH / "run.py").read_text(encoding="utf-8"))
+    replay = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "replay")
+    calls = [node for node in ast.walk(replay)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "ProximityService"]
+    assert len(calls) == 1
+    call = calls[0]
+    inspect.signature(ProximityService).bind(
+        *[None] * len(call.args), **{k.arg: None for k in call.keywords})

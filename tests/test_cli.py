@@ -214,7 +214,7 @@ def test_poi_error_scored_over_tracked_period(tmp_path):
                                    cfg.probe_center_offset_m, cfg.seed)
         t_last = float(rows("track.csv")[-1][0])
         reached = [p for t, p in
-                   world.user(runner.TARGET_ID).trajectory.waypoints
+                   world.users[runner.TARGET_ID].trajectory.waypoints
                    if t <= t_last]
         want = max(min(haversine_m(from_enu(EnuPoint(float(x), float(y), ref)),
                                    p) for p in reached)
@@ -291,6 +291,8 @@ def test_sweep_out_of_range_value_is_config_error(tmp_path, capsys):
     (["attack=track", "track_duration_s=1000000", "track_interval_s=0.5"],
      "track_interval_s"),
     (["track_duration_s=1e9"], "track_duration_s"),
+    # A quantum so small that a distance over it overflows.
+    (["distance_quantum_m=5e-324"], "distance_quantum_m"),
 ])
 def test_non_finite_and_off_globe_values_are_config_errors(tmp_path, capsys,
                                                            sets, field):
@@ -301,6 +303,19 @@ def test_non_finite_and_off_globe_values_are_config_errors(tmp_path, capsys,
     assert main(args) == EXIT_CONFIG
     assert f"field {field!r}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_subnormal_quantum_is_config_error_in_files_and_sweeps(tmp_path,
+                                                              capsys):
+    cfg = write_cfg(tmp_path, FAST_LOCALIZE + "distance_quantum_m = 5e-324\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "field 'distance_quantum_m'" in capsys.readouterr().err
+    out = tmp_path / "sweep"
+    assert main(["sweep", str(ROOT / "scenarios" / "localize_bcn.cfg"),
+                 "--param", "distance_quantum_m", "--values", "100,5e-324",
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert "field 'distance_quantum_m'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists() and not out.exists()
 
 
 def test_sweep_parallel_matches_sequential(tmp_path):

@@ -4,6 +4,7 @@ from proxileak.geo import EnuPoint
 from proxileak.mlat import DistanceSample, PositionEstimate
 from proxileak.report import (AttackTrace, DEFAULT_EVENT_LABELS, TAXONOMY,
                               TraceEvent, classify, emit, write_error_vs_quantum,
+                              write_pool_curve, write_probe_map,
                               write_runtime_grid)
 
 
@@ -89,8 +90,10 @@ def test_emit_deterministic_and_ids(tmp_path, bcn):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
         tr = trace_of(TraceEvent("probe", 0.0, "u1"))
-        emit(out, tr, probe_map=(samples, est, (35.0, 25.0)), pool_rows=pool)
+        emit(out, tr)
         assert tr.events[-1] == TraceEvent("export", 0.0)
+        write_probe_map(samples, est, (35.0, 25.0), out)
+        write_pool_curve(pool, out)
         write_runtime_grid(grid, out)
         write_error_vs_quantum(quantum_rows, out)
     names = sorted(p.name for p in out1.iterdir())

