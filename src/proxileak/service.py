@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from datetime import date
 
 from .geo import GeoPoint, haversine_m
-from .world import DisclosurePolicy, World, fuzz_birthdate, quantize_distance
+from .world import (DisclosurePolicy, World, fuzz_birthdate, gc_paused,
+                    quantize_distance)
 
 __all__ = [
     "NearbyEntry", "Session", "ProximityService",
@@ -109,25 +110,28 @@ class ProximityService:
         Ordered by quantized distance, then user id. Returned users become
         discoverable by :meth:`profile` for this session.
         """
-        if radius_m <= 0.0:
+        if not radius_m > 0.0:   # also NaN
             raise ValueError("radius_m must be > 0")
-        me = self.world.position_of(session.user_id)
-        requester = self.world.users[session.user_id]
-        hits = []
-        for user in self.world.candidates_within(me, radius_m):
-            uid = user.user_id
-            if uid == session.user_id:
-                continue
-            d = haversine_m(me, self.world.position_of(uid))
-            if d <= radius_m:
-                hits.append((quantize_distance(d, self.policy.distance_quantum_m),
-                             uid, user, d))
-        hits.sort(key=lambda h: (h[0], h[1]))
-        out = []
-        for qd, uid, user, d in hits:
-            session.discovered.add(uid)
-            out.append(self._render(requester, user, d))
-        return out
+        world = self.world
+        position_of = world.position_of
+        quantum = self.policy.distance_quantum_m
+        my_id = session.user_id
+        me = position_of(my_id)
+        requester = world.users[my_id]
+        # A whole-world sweep allocates a few acyclic objects per user.
+        with gc_paused():
+            hits = []
+            for user in world.candidates_within(me, radius_m):
+                uid = user.user_id
+                if uid == my_id:
+                    continue
+                d = haversine_m(me, position_of(uid))
+                if d <= radius_m:
+                    hits.append((quantize_distance(d, quantum), uid, user))
+            # Ids are unique, so the order never compares users.
+            hits.sort()
+            session.discovered.update([uid for _, uid, _ in hits])
+            return [self._render(requester, user, qd) for qd, _, user in hits]
 
     def profile(self, session: Session, user_id: str) -> NearbyEntry:
         """Fresh policy-filtered view of a previously discovered user."""
@@ -136,15 +140,16 @@ class ProximityService:
         me = self.world.position_of(session.user_id)
         d = haversine_m(me, self.world.position_of(user_id))
         return self._render(self.world.users[session.user_id],
-                            self.world.users[user_id], d)
+                            self.world.users[user_id],
+                            quantize_distance(d, self.policy.distance_quantum_m))
 
     # -- policy application --------------------------------------------------
 
-    def _render(self, requester, target, true_distance_m: float) -> NearbyEntry:
+    def _render(self, requester, target, distance_m: float) -> NearbyEntry:
+        """``target`` as ``requester`` sees it at the quantized
+        ``distance_m``."""
         pol = self.policy
-        distance = None
-        if pol.share_distance:
-            distance = quantize_distance(true_distance_m, pol.distance_quantum_m)
+        distance = distance_m if pol.share_distance else None
         birthdate = None
         if pol.birthdate_mode == "exact":
             birthdate = target.true_birthdate

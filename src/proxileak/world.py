@@ -10,9 +10,11 @@ explicit helpers (``add_likes``).
 from __future__ import annotations
 
 import bisect
+import gc
 import hashlib
 import math
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from itertools import islice
@@ -27,7 +29,7 @@ __all__ = [
     "INTERESTS_MODES",
     "generate_population", "fuzz_birthdate", "quantize_distance",
     "derive_seed", "stationary_trajectory", "commuter_trajectory",
-    "random_walk_trajectory",
+    "random_walk_trajectory", "gc_paused",
 ]
 
 # Common first names; enough repetition at population scale that a name
@@ -65,6 +67,20 @@ def derive_seed(master: int, *labels) -> int:
     """Stable 64-bit sub-seed for a labelled purpose under one master seed."""
     h = hashlib.sha256(repr((master,) + labels).encode("utf-8")).digest()
     return int.from_bytes(h[:8], "big")
+
+
+@contextmanager
+def gc_paused():
+    """Run the block with the cyclic garbage collector off, then restore
+    the collector's prior state. For loops that allocate many acyclic
+    objects, which only reference counting frees anyway."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def quantize_distance(true_m: float, quantum_m: float) -> float:
@@ -150,16 +166,22 @@ class PageCatalog:
     def sample_likes(self, count: int, rng: random.Random) -> set[str]:
         """``count`` distinct pages, rank-weighted by rank**-zipf_s, within
         the draw budget of ``MAX_DRAWS_PER_LIKE``."""
-        count = min(count, len(self.page_ids))
-        cum = self._cum
+        page_ids = self.page_ids
+        count = min(count, len(page_ids))
         chosen: set[str] = set()
+        if count == 0:   # no draws; an empty catalog has no total
+            return chosen
+        cum = self._cum
+        # random() < 1, so every draw is <= total and indexes a page.
+        total = cum[-1]
+        draw = rng.random
+        add = chosen.add
+        bisect_left = bisect.bisect_left
         for _ in range(MAX_DRAWS_PER_LIKE * count):
             if len(chosen) == count:
                 return chosen
-            u = rng.random() * cum[-1]
-            idx = bisect.bisect_left(cum, u)
-            chosen.add(self.page_ids[min(idx, len(self.page_ids) - 1)])
-        ranked = (p for p in self.page_ids if p not in chosen)
+            add(page_ids[bisect_left(cum, draw() * total)])
+        ranked = (p for p in page_ids if p not in chosen)
         chosen.update(islice(ranked, count - len(chosen)))
         return chosen
 
@@ -175,8 +197,9 @@ class Trajectory:
         if not waypoints:
             raise ValueError("trajectory needs at least one waypoint")
         times = [t for t, _ in waypoints]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("waypoint timestamps must be strictly increasing")
+        for a, b in zip(times, times[1:]):
+            if b <= a:
+                raise ValueError("waypoint timestamps must be strictly increasing")
         self.waypoints = list(waypoints)
         self._times = times
 
@@ -249,8 +272,9 @@ class DisclosurePolicy:
             raise ValueError(f"bad birthdate_mode: {self.birthdate_mode!r}")
         if self.interests_mode not in INTERESTS_MODES:
             raise ValueError(f"bad interests_mode: {self.interests_mode!r}")
-        if self.distance_quantum_m < 0.0:
-            raise ValueError("distance_quantum_m must be >= 0")
+        if not 0.0 <= self.distance_quantum_m < math.inf:
+            raise ValueError("distance_quantum_m must be finite and >= 0, "
+                             f"got {self.distance_quantum_m!r}")
         # quantize_distance divides by the quantum, and no haversine_m
         # distance exceeds half the circumference.
         if (self.distance_quantum_m > 0.0 and not math.isfinite(
@@ -482,18 +506,21 @@ def generate_population(n: int, catalog_size: int, zipf_s: float, seed: int,
     catalog = PageCatalog(catalog_size, n_categories, zipf_s, seed)
     users: dict[str, SimUser] = {}
     ord_lo, ord_hi = BIRTH_RANGE[0].toordinal(), BIRTH_RANGE[1].toordinal()
-    for i in range(n):
-        uid = f"u{i:05d}"
-        rng = random.Random(derive_seed(seed, "user", uid))
-        pos = bbox.sample(rng)
-        n_likes = _bounded_geometric(rng, mean_likes,
-                                     min(MAX_LIKES_PER_USER, catalog_size))
-        users[uid] = SimUser(
-            user_id=uid,
-            first_name=rng.choice(FIRST_NAMES),
-            true_birthdate=date.fromordinal(rng.randint(ord_lo, ord_hi)),
-            trajectory=stationary_trajectory(pos),
-            likes=catalog.sample_likes(n_likes, rng),
-            social_id=f"fb{i:07d}",
-        )
+    max_likes = min(MAX_LIKES_PER_USER, catalog_size)
+    # Each user's objects form no reference cycle, so collector passes
+    # over the growing population would find nothing to free.
+    with gc_paused():
+        for i in range(n):
+            uid = f"u{i:05d}"
+            rng = random.Random(derive_seed(seed, "user", uid))
+            pos = bbox.sample(rng)
+            n_likes = _bounded_geometric(rng, mean_likes, max_likes)
+            users[uid] = SimUser(
+                user_id=uid,
+                first_name=rng.choice(FIRST_NAMES),
+                true_birthdate=date.fromordinal(rng.randint(ord_lo, ord_hi)),
+                trajectory=stationary_trajectory(pos),
+                likes=catalog.sample_likes(n_likes, rng),
+                social_id=f"fb{i:07d}",
+            )
     return World(users=users, catalog=catalog, bbox=bbox, seed=seed)

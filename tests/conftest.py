@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import os
 import random
@@ -22,6 +23,15 @@ def bcn() -> GeoPoint:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)
+
+
+@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+def gc_state(request):
+    """The collector switched on or off for the test, restored after it."""
+    was_enabled = gc.isenabled()
+    gc.enable() if request.param else gc.disable()
+    yield request.param
+    gc.enable() if was_enabled else gc.disable()
 
 
 @pytest.fixture(scope="session")

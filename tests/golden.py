@@ -125,6 +125,16 @@ OVERRIDE_GOLDEN = {
         "trace_labels.csv": "b1b3dd8b9b19e98210e25917b396cd258b2791c4e1b5da42a462d2a2bf2a82ee",
         "violations.csv": "2163cdc84afcba04862fb617247611fa88bf8b1571b5d137d412beb6a4bc1e29",
     },
+    # The size of the benchmark's identify_crowd workload.
+    ("identify_zipf", "n_users=20000,identify_victims=20"): {
+        "identification.csv": "ffc90ecd80c9a94ba514bd345c4870a9aaf416689d962ad31028fc4d05c03e24",
+        "manifest.cfg": "489119bf1b267183dbdba528ef4fbae997e7995ca3578aa77f740b4c855c0376",
+        "pool_sizes.csv": "646211c1aef4d965d46c70764e471365c4e08eb5bf91947e55957720c9cd43e7",
+        "pool_sizes.svg": "0d9887766eb8b5450175365ce07c42ddb64bdc29478ce87155698ee14057d57b",
+        "summary.csv": "12ddaa50593b4951495361f038943e15d74e55aad9361b2c65525713997840ad",
+        "trace_labels.csv": "67c72fa219805f92667881d3178aa625164c79116796e9e9b3ae152b8acec4b4",
+        "violations.csv": "1be35d77ec7f4e9cb8f4da28c697c7ad43dcb686352a2a3973742fa98681b30a",
+    },
     ("identify_zipf", "policy_preset=grindr"): {
         "identification.csv": "cad33c2b72692bdaddedb49d2a1059f9fea4934bc513026a5b508b7e0e32c941",
         "manifest.cfg": "da0f106dd48dbd265b2d1aef1964cd1b25426955cbc963e389ad5b78126492cd",

@@ -6,20 +6,29 @@ grid scan (numpy), and query operations re-done as plain brute-force
 filters. ``scan_nearby`` is ``nearby`` as it was before the cell grid,
 on the package's own distance and rendering. ``brute_identify`` is the
 identification loop as it was before the social graph was indexed: every
-query scans the whole population.
+query scans the whole population. ``oracle_catalog``, ``oracle_sample_likes``
+and ``oracle_population`` are ``PageCatalog`` and ``generate_population`` as
+they were before the build paused the garbage collector and bound its
+lookups locally; they share only the unchanged draw helpers with the package.
 ``loop_objective_value`` and ``loop_solve_pattern`` are the pure-Python
 solver kernel as it was before it scored a whole compass ring per pass:
 one pass over the samples per candidate point.
 """
 
+import bisect
 import math
+import random
+from datetime import date
+from itertools import islice
 from math import fabs, sqrt
 
 import numpy as np
 
-from proxileak.geo import haversine_m
+from proxileak.geo import GeoPoint, haversine_m
 from proxileak.socialgraph import IdentificationResult, candidate_birth_years
-from proxileak.world import quantize_distance
+from proxileak.world import (BIRTH_RANGE, FIRST_NAMES, MAX_DRAWS_PER_LIKE,
+                             MAX_LIKES_PER_USER, _bounded_geometric,
+                             derive_seed, quantize_distance)
 
 EARTH_RADIUS_M = 6_371_008.8
 
@@ -144,7 +153,7 @@ def scan_nearby(service, session, radius_m):
     out = []
     for qd, uid, user, d in hits:
         session.discovered.add(uid)
-        out.append(service._render(requester, user, d))
+        out.append(service._render(requester, user, qd))
     return out
 
 
@@ -217,3 +226,57 @@ def brute_identify(victim_view, population, max_rounds=10, batch_size=10,
         pool = brute_forward(population, name, years, known)
         pools.append(frozenset(pool))
     return IdentificationResult(pools)
+
+
+def oracle_catalog(catalog_size, n_categories, zipf_s, seed):
+    """``PageCatalog``'s page ids, page categories and cumulative weights."""
+    rng = random.Random(derive_seed(seed, "catalog"))
+    page_ids = [f"pg{r:05d}" for r in range(1, catalog_size + 1)]
+    categories = {p: f"cat{rng.randrange(n_categories):03d}" for p in page_ids}
+    total = 0.0
+    cum = []
+    for r in range(1, catalog_size + 1):
+        total += r ** (-zipf_s)
+        cum.append(total)
+    return page_ids, categories, cum
+
+
+def oracle_sample_likes(page_ids, cum, count, rng):
+    """``PageCatalog.sample_likes`` over ``oracle_catalog``'s lists."""
+    count = min(count, len(page_ids))
+    chosen = set()
+    for _ in range(MAX_DRAWS_PER_LIKE * count):
+        if len(chosen) == count:
+            return chosen
+        u = rng.random() * cum[-1]
+        idx = bisect.bisect_left(cum, u)
+        chosen.add(page_ids[min(idx, len(page_ids) - 1)])
+    ranked = (p for p in page_ids if p not in chosen)
+    chosen.update(islice(ranked, count - len(chosen)))
+    return chosen
+
+
+def oracle_population(n, catalog_size, zipf_s, seed, bbox, mean_likes,
+                      n_categories):
+    """``generate_population``'s catalog and users, the users as
+    ``(user_id, first_name, true_birthdate, waypoints, likes, social_id)``."""
+    page_ids, categories, cum = oracle_catalog(catalog_size, n_categories,
+                                               zipf_s, seed)
+    users = []
+    ord_lo, ord_hi = BIRTH_RANGE[0].toordinal(), BIRTH_RANGE[1].toordinal()
+    for i in range(n):
+        uid = f"u{i:05d}"
+        rng = random.Random(derive_seed(seed, "user", uid))
+        pos = GeoPoint(rng.uniform(bbox.lat_min, bbox.lat_max),
+                       rng.uniform(bbox.lon_min, bbox.lon_max))
+        n_likes = _bounded_geometric(rng, mean_likes,
+                                     min(MAX_LIKES_PER_USER, catalog_size))
+        users.append((
+            uid,
+            rng.choice(FIRST_NAMES),
+            date.fromordinal(rng.randint(ord_lo, ord_hi)),
+            [(0.0, pos)],
+            oracle_sample_likes(page_ids, cum, n_likes, rng),
+            f"fb{i:07d}",
+        ))
+    return page_ids, categories, users

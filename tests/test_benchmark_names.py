@@ -32,6 +32,14 @@ def test_every_traced_target_resolves(span):
     assert callable(getattr(owner, attr))
 
 
+def test_population_size_is_the_first_parameter_of_the_build():
+    # The span note of world.generate_population reads args[0] or kwargs["n"].
+    module_name, path, _ = tracing.TARGETS["world.generate_population"]
+    owner, attr = tracing._resolve(module_name, path)
+    first = next(iter(inspect.signature(getattr(owner, attr)).parameters))
+    assert first == "n"
+
+
 def test_service_accepts_the_arguments_of_the_serve_replay():
     tree = ast.parse((PERFBENCH / "run.py").read_text(encoding="utf-8"))
     replay = next(node for node in tree.body

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 
@@ -103,8 +104,18 @@ def test_nearby_matches_brute_force(rng):
 def test_nearby_rejects_bad_radius():
     world, svc = make_service()
     s = svc.login(next(iter(world.users)))
-    with pytest.raises(ValueError):
-        svc.nearby(s, 0.0)
+    for radius in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="radius_m must be > 0"):
+            svc.nearby(s, radius)
+    assert len(svc.nearby(s, math.inf)) == len(world.users) - 1
+
+
+def test_nearby_leaves_the_gc_state_as_found(gc_state):
+    world, svc = make_service()
+    s = svc.login(next(iter(world.users)))
+    for radius in (500.0, math.inf):
+        svc.nearby(s, radius)
+        assert gc.isenabled() is gc_state
 
 
 # -- profile ---------------------------------------------------------------------------

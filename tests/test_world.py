@@ -1,16 +1,20 @@
 import datetime
+import gc
 import math
 import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
+from oracles import oracle_population, oracle_sample_likes
 from proxileak.geo import EARTH_RADIUS_M, CoordinateError, GeoPoint, haversine_m
 from proxileak.world import (DEFAULT_BBOX, MAX_LIKES_PER_USER, BoundingBox,
                              DisclosurePolicy, POLICY_PRESETS, PageCatalog,
                              Trajectory, commuter_trajectory, fuzz_birthdate,
-                             generate_population, quantize_distance,
+                             gc_paused, generate_population, quantize_distance,
                              stationary_trajectory)
 
 
@@ -28,6 +32,41 @@ def test_population_shape_and_determinism():
         assert w2.users[uid].true_birthdate == u.true_birthdate
     assert len({u.user_id for u in w1.users.values()}) == 250
     assert len({u.social_id for u in w1.users.values()}) == 250
+
+
+@st.composite
+def bboxes(draw):
+    lat = sorted(draw(st.lists(st.floats(-90.0, 90.0), min_size=2, max_size=2,
+                               unique=True)))
+    lon = sorted(draw(st.lists(st.floats(-180.0, 180.0), min_size=2, max_size=2,
+                               unique=True)))
+    return BoundingBox(lat[0], lon[0], lat[1], lon[1])
+
+
+# zipf_s near 60 leaves only rank 1 drawable, so the draw budget runs out.
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(1, 200), catalog_size=st.integers(1, 2000),
+       zipf_s=st.floats(0.0, 60.0, exclude_min=True),
+       seed=st.integers(0, 2**64 - 1), bbox=bboxes(),
+       mean_likes=st.floats(0.0, 1e3), n_categories=st.integers(1, 40),
+       count=st.integers(0, 80), draw_seed=st.integers(0, 2**32))
+def test_build_equals_the_oracle_loop(n, catalog_size, zipf_s, seed, bbox,
+                                      mean_likes, n_categories, count,
+                                      draw_seed):
+    world = generate_population(n, catalog_size, zipf_s, seed, bbox=bbox,
+                                mean_likes=mean_likes, n_categories=n_categories)
+    page_ids, categories, users = oracle_population(
+        n, catalog_size, zipf_s, seed, bbox, mean_likes, n_categories)
+    assert world.catalog.page_ids == page_ids
+    assert {p: world.catalog.category_of(p) for p in page_ids} == categories
+    assert [(u.user_id, u.first_name, u.true_birthdate, u.trajectory.waypoints,
+             u.likes, u.social_id) for u in world.users.values()] == users
+    # The last draw of each user leaves its rng behind, so check the state
+    # sample_likes leaves directly.
+    got, want = random.Random(draw_seed), random.Random(draw_seed)
+    assert (world.catalog.sample_likes(count, got)
+            == oracle_sample_likes(page_ids, world.catalog._cum, count, want))
+    assert got.getstate() == want.getstate()
 
 
 def test_population_of_one():
@@ -218,6 +257,28 @@ def test_policy_quantum_keeps_quantized_distances_finite():
     for q in (1.2e-301, 1e-300):
         DisclosurePolicy(distance_quantum_m=q)
         assert math.isfinite(quantize_distance(longest, q))
+    # An infinite quantum made every distance NaN; a NaN one raised at the
+    # first quantization.
+    for q in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="distance_quantum_m"):
+            DisclosurePolicy(distance_quantum_m=q)
+
+
+# -- garbage collector state ---------------------------------------------------------
+
+def test_gc_paused_restores_the_prior_state(gc_state):
+    with gc_paused():
+        assert not gc.isenabled()
+    assert gc.isenabled() is gc_state
+    with pytest.raises(RuntimeError):
+        with gc_paused():
+            raise RuntimeError("body failed")
+    assert gc.isenabled() is gc_state
+
+
+def test_build_leaves_the_gc_state_as_found(gc_state):
+    generate_population(30, 50, 1.0, seed=2)
+    assert gc.isenabled() is gc_state
 
 
 def test_world_clock_and_overrides(bcn):
