@@ -12,6 +12,7 @@ module source).
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -29,6 +30,11 @@ __all__ = [
 PROBE_STRATEGIES = ("ring", "adaptive")
 
 ADAPTIVE_ROUNDS = 2  # rings an adaptive plan spreads its probe budget over
+
+# Distinct solver inputs an attacker remembers the estimate of. A dwell
+# often re-reads the last fix's distances from the same probes; an
+# adaptive fix solves twice, so it needs a few entries to catch both.
+SOLVE_MEMO_SIZE = 8
 
 
 class PolicyBlockedError(RuntimeError):
@@ -109,6 +115,7 @@ class Attacker:
         self.trace = trace if trace is not None else AttackTrace()
         self._advance = advance
         self.last_samples: list[DistanceSample] = []
+        self._solved: dict[tuple[bytes, SolverConfig], PositionEstimate] = {}
 
     # -- acquisition -------------------------------------------------------
 
@@ -125,6 +132,27 @@ class Attacker:
         return DistanceSample(to_enu(probe, self.ref), entry.distance_m, t,
                               self.service.policy.distance_quantum_m)
 
+    def _solve(self, samples: list[DistanceSample],
+               cfg: SolverConfig) -> PositionEstimate:
+        """``multilaterate(samples, cfg)``, from memory if a recent call had
+        the same inputs.
+
+        The key holds, bit for bit, every number the solver reads from the
+        samples: so ``-0.0`` and ``0.0``, or two references, never share an
+        entry. A solver error is raised again on every call, never stored.
+        The oldest entry goes once ``SOLVE_MEMO_SIZE`` are held.
+        """
+        key = (array("d", [v for s in samples for v in (
+            s.observer.x_m, s.observer.y_m, s.reported_m,
+            s.observer.ref.lat_deg, s.observer.ref.lon_deg)]).tobytes(), cfg)
+        est = self._solved.get(key)
+        if est is None:
+            est = multilaterate(samples, cfg)
+            if len(self._solved) >= SOLVE_MEMO_SIZE:
+                del self._solved[next(iter(self._solved))]
+            self._solved[key] = est
+        return est
+
     # -- attacks -----------------------------------------------------------
 
     def localize(self, target_id: str, plan: ProbePlan,
@@ -135,6 +163,8 @@ class Attacker:
         spreads them over its rounds; before each later round it solves
         over the samples so far, re-centers on that estimate and halves
         the radius (down to 50 m). The last round takes the remainder.
+        Every probe is moved to and polled; a solve whose inputs repeat a
+        recent one's reuses its estimate (see ``_solve``).
         """
         rounds = (1 if plan.strategy == "ring"
                   else min(ADAPTIVE_ROUNDS, plan.count // 3))
@@ -143,12 +173,12 @@ class Attacker:
         samples: list[DistanceSample] = []
         for r in range(rounds):
             if r > 0:
-                center = from_enu(multilaterate(samples, cfg).p_hat)
+                center = from_enu(self._solve(samples, cfg).p_hat)
                 radius = max(radius / 2.0, 50.0)
             n = per_round if r < rounds - 1 else plan.count - per_round * r
             samples += [self.sample_distance(target_id, p)
                         for p in ring_points(center, radius, n, plan.angle0_rad)]
-        est = multilaterate(samples, cfg)
+        est = self._solve(samples, cfg)
         self.last_samples = samples
         self.trace.append(TraceEvent("localize_result", samples[-1].t,
                                      target_id))
@@ -192,6 +222,13 @@ def extract_pois(track: TrackRecord, radius_m: float,
     The track is partitioned into maximal windows whose fixes all lie
     within ``radius_m`` of the window centroid; each window spanning at
     least ``min_dwell_s`` yields one POI at that centroid.
+
+    A window grows one fix at a time. The extension is accepted without
+    visiting the window's fixes when the corner of their bounding box
+    farthest from the new centroid is within ``radius_m * (1 - 1e-9)``:
+    every fix lies in the box, and the margin covers ``hypot``'s rounding.
+    Otherwise each fix is checked, so a stay costs time linear in its
+    length unless its fixes sit near the radius.
     """
     if radius_m <= 0.0 or min_dwell_s < 0.0:
         raise ValueError("radius_m must be > 0 and min_dwell_s >= 0")
@@ -199,6 +236,7 @@ def extract_pois(track: TrackRecord, radius_m: float,
     if not pts:
         return []
     ref = pts[0][1].ref
+    safe_m = radius_m * (1.0 - 1e-9)
     pois: list[Poi] = []
     i = 0
     while i < len(pts):
@@ -206,8 +244,11 @@ def extract_pois(track: TrackRecord, radius_m: float,
         # from 0.0 like sum(). Not sum() itself: since Python 3.12 it
         # compensates float rounding, so centroids would depend on the
         # Python version.
-        sx = 0.0 + pts[i][1].x_m
-        sy = 0.0 + pts[i][1].y_m
+        p = pts[i][1]
+        sx = 0.0 + p.x_m
+        sy = 0.0 + p.y_m
+        x_lo = x_hi = p.x_m
+        y_lo = y_hi = p.y_m
         j = i
         while j + 1 < len(pts):
             p = pts[j + 1][1]
@@ -216,13 +257,16 @@ def extract_pois(track: TrackRecord, radius_m: float,
             size = j + 2 - i
             cx = tx / size
             cy = ty / size
-            if all(math.hypot(q.x_m - cx, q.y_m - cy) <= radius_m
-                   for _, q in pts[i:j + 2]):
-                sx = tx
-                sy = ty
-                j += 1
-            else:
+            # A rejected fix ends the window, so the box may take it first.
+            x_lo, x_hi = min(x_lo, p.x_m), max(x_hi, p.x_m)
+            y_lo, y_hi = min(y_lo, p.y_m), max(y_hi, p.y_m)
+            if not (math.hypot(max(cx - x_lo, x_hi - cx),
+                               max(cy - y_lo, y_hi - cy)) <= safe_m
+                    or all(math.hypot(q.x_m - cx, q.y_m - cy) <= radius_m
+                           for _, q in pts[i:j + 2])):
                 break
+            sx, sy = tx, ty
+            j += 1
         window = pts[i:j + 1]
         cx = sx / len(window)
         cy = sy / len(window)

@@ -68,16 +68,18 @@ class DistanceSample:
     quantum_m: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.reported_m < 0.0:
-            raise ValueError(f"reported distance must be >= 0: {self.reported_m!r}")
-        if self.quantum_m < 0.0:
-            raise ValueError(f"quantum must be >= 0: {self.quantum_m!r}")
+        if not 0.0 <= self.reported_m < math.inf:
+            raise ValueError(
+                f"reported_m must be finite and >= 0: {self.reported_m!r}")
+        if not 0.0 <= self.quantum_m < math.inf:
+            raise ValueError(
+                f"quantum_m must be finite and >= 0: {self.quantum_m!r}")
         if self.quantum_m > 0.0:
             steps = self.reported_m / self.quantum_m
-            if abs(steps - round(steps)) > 1e-9:
+            if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
                 raise ValueError(
-                    f"reported distance {self.reported_m!r} is not a multiple "
-                    f"of quantum {self.quantum_m!r}")
+                    f"reported_m {self.reported_m!r} is not a multiple "
+                    f"of quantum_m {self.quantum_m!r}")
 
 
 @dataclass(frozen=True)
@@ -92,10 +94,11 @@ class SolverConfig:
         _norm_code(self.norm)
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.tol_m <= 0.0:
-            raise ValueError("tol_m must be > 0")
-        if self.step_init_m <= 0.0:
-            raise ValueError("step_init_m must be > 0")
+        if not 0.0 < self.tol_m < math.inf:
+            raise ValueError(f"tol_m must be finite and > 0: {self.tol_m!r}")
+        if not 0.0 < self.step_init_m < math.inf:
+            raise ValueError(
+                f"step_init_m must be finite and > 0: {self.step_init_m!r}")
 
     @property
     def norm_code(self) -> int:

@@ -9,10 +9,18 @@ import sysconfig
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, settings
 
 from proxileak.geo import GeoPoint
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# Hypothesis's explain phase re-runs a failing test's examples under a line
+# tracer; with heavy examples that takes minutes, so a failure would stall
+# the suite. Dropping it leaves the examples and the verdict as they are.
+settings.register_profile(
+    "proxileak", phases=[p for p in Phase if p is not Phase.explain])
+settings.load_profile("proxileak")
 
 
 @pytest.fixture

@@ -12,7 +12,9 @@ they were before the build paused the garbage collector and bound its
 lookups locally; they share only the unchanged draw helpers with the package.
 ``loop_objective_value`` and ``loop_solve_pattern`` are the pure-Python
 solver kernel as it was before it scored a whole compass ring per pass:
-one pass over the samples per candidate point.
+one pass over the samples per candidate point. ``scan_extract_pois`` is
+``extract_pois`` as it was before windows kept a bounding box: every
+extension re-checks every fix of the window.
 """
 
 import bisect
@@ -24,7 +26,8 @@ from math import fabs, sqrt
 
 import numpy as np
 
-from proxileak.geo import GeoPoint, haversine_m
+from proxileak.attacker import Poi
+from proxileak.geo import EnuPoint, GeoPoint, haversine_m
 from proxileak.socialgraph import IdentificationResult, candidate_birth_years
 from proxileak.world import (BIRTH_RANGE, FIRST_NAMES, MAX_DRAWS_PER_LIKE,
                              MAX_LIKES_PER_USER, _bounded_geometric,
@@ -280,3 +283,42 @@ def oracle_population(n, catalog_size, zipf_s, seed, bbox, mean_likes,
             f"fb{i:07d}",
         ))
     return page_ids, categories, users
+
+
+def scan_extract_pois(track, radius_m, min_dwell_s):
+    """``extract_pois`` with a check of every fix per window extension."""
+    if radius_m <= 0.0 or min_dwell_s < 0.0:
+        raise ValueError("radius_m must be > 0 and min_dwell_s >= 0")
+    pts = [(t, est.p_hat) for t, est in track.estimates]
+    if not pts:
+        return []
+    ref = pts[0][1].ref
+    pois = []
+    i = 0
+    while i < len(pts):
+        sx = 0.0 + pts[i][1].x_m
+        sy = 0.0 + pts[i][1].y_m
+        j = i
+        while j + 1 < len(pts):
+            p = pts[j + 1][1]
+            tx = sx + p.x_m
+            ty = sy + p.y_m
+            size = j + 2 - i
+            cx = tx / size
+            cy = ty / size
+            if all(math.hypot(q.x_m - cx, q.y_m - cy) <= radius_m
+                   for _, q in pts[i:j + 2]):
+                sx = tx
+                sy = ty
+                j += 1
+            else:
+                break
+        window = pts[i:j + 1]
+        cx = sx / len(window)
+        cy = sy / len(window)
+        span = window[-1][0] - window[0][0]
+        if span >= min_dwell_s and len(window) > 1:
+            pois.append(Poi(EnuPoint(cx, cy, ref), span,
+                            window[0][0], window[-1][0], len(window)))
+        i = j + 1
+    return pois

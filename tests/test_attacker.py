@@ -1,16 +1,23 @@
 import inspect
 import math
+import random
 import statistics
 from datetime import date
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import proxileak.attacker as attacker_mod
+from oracles import scan_extract_pois
 from proxileak.attacker import (Attacker, Poi, PolicyBlockedError, ProbePlan,
                                 TrackRecord, extract_pois, ring_points)
-from proxileak.geo import EnuPoint, from_enu, haversine_m, to_enu
-from proxileak.mlat import PositionEstimate, SolverConfig
+from proxileak.config import parse_scenario
+from proxileak.geo import EnuPoint, GeoPoint, from_enu, haversine_m, to_enu
+from proxileak.mlat import DistanceSample, PositionEstimate, SolverConfig
 from proxileak.report import write_csv
+from proxileak.runner import run_scenario
 from proxileak.service import ProximityService
 from proxileak.world import (DisclosurePolicy, POLICY_PRESETS, SimUser,
                              commuter_trajectory, generate_population,
@@ -179,6 +186,106 @@ def test_track_commuter_two_clusters():
     assert len(near_work) >= 6
 
 
+# -- solve memo ---------------------------------------------------------------------
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Counts the solver calls the attacker really makes."""
+    calls = []
+    real = attacker_mod.multilaterate
+
+    def counting(samples, cfg):
+        calls.append(len(samples))
+        return real(samples, cfg)
+
+    monkeypatch.setattr(attacker_mod, "multilaterate", counting)
+    return calls
+
+
+@pytest.mark.parametrize("overrides, fixes, real_solves", [
+    ({}, 17, 10),
+    ({"track_interval_s": "3600", "track_duration_s": "86400",
+      "seed": "7919"}, 25, 12),
+], ids=["bundled", "track_day-7919"])
+def test_dwell_fixes_reuse_repeated_solves(tmp_path, solves, overrides,
+                                           fixes, real_solves):
+    cfg = parse_scenario(SCENARIOS / "track_commuter.cfg", overrides)
+    assert run_scenario(cfg, tmp_path).metrics["n_fixes"] == fixes
+    assert len(solves) == real_solves
+
+
+def commuter_track(strategy, seed):
+    home = generate_population(3, 100, 1.0, seed=seed).true_position_of(TARGET)
+    work = from_enu(EnuPoint(5000.0, 0.0, home))
+    traj = commuter_trajectory(home, work, 28_800.0, 1800.0, 55_000.0)
+    world, svc, agent, truth = build_scene(
+        policy=DisclosurePolicy(distance_quantum_m=100.0), target_traj=traj,
+        seed=seed)
+    plan = ProbePlan(strategy=strategy, count=16, ring_radius_m=1000.0,
+                     center=from_enu(EnuPoint(200.0, 100.0, home)))
+    record = agent.track(TARGET, 3600.0, 57_600.0, plan, solver(seed=seed))
+    return record, agent.trace.events
+
+
+@pytest.mark.parametrize("strategy", ["ring", "adaptive"])
+def test_memo_leaves_the_track_unchanged(monkeypatch, solves, strategy):
+    with_memo = [commuter_track(strategy, seed) for seed in (21, 22, 23)]
+    memo_solves = len(solves)
+    monkeypatch.setattr(Attacker, "_solve", lambda self, samples, cfg:
+                        attacker_mod.multilaterate(samples, cfg))
+    assert [commuter_track(strategy, seed) for seed in (21, 22, 23)] == with_memo
+    assert memo_solves <= len(solves) - memo_solves
+    if strategy == "ring":
+        assert memo_solves < len(solves) - memo_solves
+
+
+def triangle(ref, x0=0.0, t=0.0, quantum=0.0):
+    return [DistanceSample(EnuPoint(x0, 0.0, ref), 1000.0, t, quantum),
+            DistanceSample(EnuPoint(1000.0, 0.0, ref), 1000.0, t, quantum),
+            DistanceSample(EnuPoint(0.0, 1000.0, ref), 1000.0, t, quantum)]
+
+
+def test_memo_keys_are_bit_exact(bcn, solves):
+    agent = Attacker(None, None, ref=bcn)
+    cfg = solver()
+    first = agent._solve(triangle(bcn), cfg)
+    # The solver never reads t or quantum_m.
+    assert agent._solve(triangle(bcn, t=5.0, quantum=500.0), cfg) is first
+    assert len(solves) == 1
+    agent._solve(triangle(bcn, x0=-0.0), cfg)
+    assert len(solves) == 2
+    agent._solve(triangle(GeoPoint(41.3851, 2.1735)), cfg)
+    assert len(solves) == 3
+    agent._solve(triangle(bcn), solver(seed=1))
+    assert len(solves) == 4
+
+
+def test_memo_holds_at_most_eight_entries(bcn, solves):
+    agent = Attacker(None, None, ref=bcn)
+    cfg = solver()
+    for k in range(20):
+        agent._solve(triangle(bcn, x0=float(k)), cfg)
+        assert len(agent._solved) <= 8
+    assert len(agent._solved) == attacker_mod.SOLVE_MEMO_SIZE == 8
+    agent._solve(triangle(bcn, x0=19.0), cfg)  # newest: kept
+    agent._solve(triangle(bcn, x0=11.0), cfg)  # ninth newest: evicted
+    assert len(solves) == 21
+
+
+def test_solver_errors_are_not_remembered(bcn, solves):
+    agent = Attacker(None, None, ref=bcn)
+    collinear = [DistanceSample(EnuPoint(x, 0.0, bcn), 500.0, 0.0)
+                 for x in (0.0, 100.0, 200.0)]
+    for samples in (collinear, collinear[:2]):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                agent._solve(samples, solver())
+    assert len(solves) == 4 and agent._solved == {}
+
+
 # -- POI extraction --------------------------------------------------------------------
 
 def fake_track(points, ref):
@@ -251,3 +358,42 @@ def test_track_csv(tmp_path, bcn):
     lines = out.read_text().splitlines()
     assert lines[0] == "t_s,est_x_m,est_y_m,residual_m"
     assert lines[1].startswith("0.0,1.0,2.0")
+
+
+REF = GeoPoint(41.3851, 2.1734)
+# Distances from the origin in radii, crowded just around the radius and
+# around the bounding-box test's margin.
+NEAR_RADIUS = [0.0, 0.5, 1.0 - 2e-9, 1.0 - 1e-9, 1.0 - 1e-12, 1.0,
+               1.0 + 1e-12, 1.0 + 1e-9, 1.5, 3.0]
+
+
+@settings(max_examples=400, deadline=None)
+@given(radius=st.sampled_from([1.0, 150.0, 2.0e4]),
+       fixes=st.lists(st.tuples(
+           st.one_of(st.sampled_from([0.0, math.pi / 4, math.pi / 2, math.pi]),
+                     st.floats(0.0, 2.0 * math.pi)),
+           st.sampled_from(NEAR_RADIUS), st.booleans()),
+           min_size=1, max_size=30),
+       min_dwell=st.sampled_from([0.0, 600.0, 3000.0]))
+def test_pois_equal_the_full_scan(radius, fixes, min_dwell):
+    # A mirrored fix follows its twin, so the running sums return exactly to
+    # the origin and a window's centroid sits on it.
+    rows = []
+    for angle, scale, mirrored in fixes:
+        x = radius * scale * math.cos(angle)
+        y = radius * scale * math.sin(angle)
+        rows.append((x, y))
+        if mirrored:
+            rows.append((-x, -y))
+    rec = fake_track([(k * 600.0, x, y) for k, (x, y) in enumerate(rows)], REF)
+    assert (extract_pois(rec, radius, min_dwell)
+            == scan_extract_pois(rec, radius, min_dwell))
+
+
+def test_long_stay_equals_the_full_scan(bcn):
+    rng = random.Random(5)
+    rec = fake_track([(k * 60.0, rng.gauss(0.0, 20.0), rng.gauss(0.0, 20.0))
+                      for k in range(1500)], bcn)
+    pois = extract_pois(rec, 60.0, 3600.0)
+    assert len(pois) > 1
+    assert pois == scan_extract_pois(rec, 60.0, 3600.0)

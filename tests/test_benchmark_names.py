@@ -3,8 +3,8 @@
 ``perfbench/tracing.py`` patches functions and methods by dotted name, and
 ``perfbench/run.py`` builds a ``ProximityService`` with keyword arguments.
 Its own tests sit outside the default test paths, so these checks keep a
-renamed or deleted name from breaking the benchmark unnoticed. Nothing is
-patched here.
+renamed or deleted name from breaking the benchmark unnoticed, and check
+that a patched name still sees the calls the benchmark counts.
 """
 
 import ast
@@ -14,9 +14,12 @@ from pathlib import Path
 
 import pytest
 
+from proxileak.config import parse_scenario
+from proxileak.runner import run_scenario
 from proxileak.service import ProximityService
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 _spec = importlib.util.spec_from_file_location("perfbench_tracing",
@@ -51,3 +54,16 @@ def test_service_accepts_the_arguments_of_the_serve_replay():
     call = calls[0]
     inspect.signature(ProximityService).bind(
         *[None] * len(call.args), **{k.arg: None for k in call.keywords})
+
+
+def test_the_solver_span_counts_real_solves_only(tmp_path):
+    # The bundled track scenario makes 17 fixes; 7 of them repeat an earlier
+    # fix's solver inputs and reuse its estimate (see test_attacker.py).
+    # Were the attacker to bind the solver at import time, the patched name
+    # would see no solve at all; were memo hits counted, it would see 17.
+    cfg = parse_scenario(ROOT / "scenarios" / "track_commuter.cfg")
+    with tracing.Tracer(["mlat.multilaterate", "attacker.localize"]) as tracer:
+        run_scenario(cfg, tmp_path)
+    spans = tracer.by_name()
+    assert len(spans["attacker.localize"]) == 17
+    assert len(spans["mlat.multilaterate"]) == 10

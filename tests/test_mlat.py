@@ -206,3 +206,17 @@ def test_sample_validation(bcn):
     with pytest.raises(ValueError):
         DistanceSample(EnuPoint(0, 0, bcn), 150.0, 0.0, quantum_m=100.0)
     DistanceSample(EnuPoint(0, 0, bcn), 300.0, 0.0, quantum_m=100.0)
+    for reported, quantum, field in [
+            (math.nan, 0.0, "reported_m"), (math.inf, 0.0, "reported_m"),
+            (math.inf, 100.0, "reported_m"), (0.0, math.inf, "quantum_m"),
+            (0.0, math.nan, "quantum_m"),
+            (1e308, 1e-300, "reported_m")]:  # reported / quantum overflows
+        with pytest.raises(ValueError, match=field):
+            DistanceSample(EnuPoint(0, 0, bcn), reported, 0.0, quantum)
+
+
+@pytest.mark.parametrize("field", ["tol_m", "step_init_m"])
+def test_solver_config_rejects_non_finite_steps(field):
+    for value in (math.nan, math.inf, -math.inf, 0.0):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: value})
