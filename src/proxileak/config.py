@@ -70,7 +70,8 @@ from .mlat import SOLVER_NORMS
 from .world import (BIRTHDATE_MODES, INTERESTS_MODES, POLICY_PRESETS,
                     BoundingBox, DisclosurePolicy)
 
-__all__ = ["ConfigError", "ScenarioConfig", "parse_scenario", "render_manifest",
+__all__ = ["ConfigError", "ScenarioConfig", "parse_scenario",
+           "parse_scenario_text", "render_manifest",
            "convert_value", "validate", "POLICY_FIELDS", "SWEEPABLE_PARAMS"]
 
 SWEEPABLE_PARAMS = ("distance_quantum_m", "probe_count", "identify_batch_size",
@@ -235,13 +236,15 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
     return cfg
 
 
-def parse_scenario(source: str | Path, overrides: dict[str, str] | None = None
+def parse_scenario(path: str | Path, overrides: dict[str, str] | None = None
                    ) -> ScenarioConfig:
-    """Parse a scenario file (or literal text) and apply CLI overrides."""
-    if isinstance(source, Path):
-        text = source.read_text(encoding="utf-8")
-    else:
-        text = source
+    """Parse the scenario file at ``path`` and apply CLI overrides."""
+    return parse_scenario_text(Path(path).read_text(encoding="utf-8"), overrides)
+
+
+def parse_scenario_text(text: str, overrides: dict[str, str] | None = None
+                        ) -> ScenarioConfig:
+    """Parse scenario text and apply CLI overrides."""
     raw: dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()

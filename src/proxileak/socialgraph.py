@@ -1,14 +1,15 @@
 """Simulated social-platform search and the identification attack.
 
-``SocialGraph`` indexes a population once, and every query starts from its
-smallest applicable posting. ``forward_search`` finds accounts matching
-profile attributes; ``reverse_search`` lists the interests those accounts
-hold. ``identify`` runs the refinement loop an attacker can drive from a
-proximity-app view of a victim: start from the disclosed first name,
-birth-year window and common likes, then repeatedly like promising pages,
-re-poll the victim's profile to see which became common, and re-filter the
-candidate pool with the confirmed likes until it collapses to a single
-account.
+``SocialGraph`` indexes a population once: postings map ``lower(first_name)``,
+``(lower(first_name), birth year)`` and each liked page to the users holding
+them, and every query starts from its smallest applicable posting.
+``forward_search`` finds accounts matching profile attributes;
+``reverse_search`` lists the interests those accounts hold. ``identify`` runs
+the refinement loop an attacker can drive from a proximity-app view of a
+victim: start from the disclosed first name, birth-year window and common
+likes, then repeatedly like promising pages, re-poll the victim's profile to
+see which became common, and re-filter the candidate pool with the confirmed
+likes until it collapses to a single account.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import date, timedelta
+from itertools import chain
 from typing import Callable, Iterable, Iterator
 
 from .report import AttackTrace, TraceEvent
@@ -41,8 +43,9 @@ class GraphQuery:
     liked_pages: frozenset[str] = frozenset()
 
 
-def _matches(user: SimUser, q: GraphQuery) -> bool:
-    if q.name is not None and user.first_name.lower() != q.name.lower():
+def _matches(user: SimUser, name: str | None, q: GraphQuery) -> bool:
+    """Whether ``user`` satisfies ``q``; ``name`` is ``q.name`` lower-cased."""
+    if name is not None and user.first_name.lower() != name:
         return False
     if (q.birth_years is not None
             and user.true_birthdate.year not in q.birth_years):
@@ -53,8 +56,10 @@ def _matches(user: SimUser, q: GraphQuery) -> bool:
 class SocialGraph:
     """Inverted index over a population, built once and queried many times.
 
-    Postings map ``lower(first_name)`` and each liked page to the users
-    holding them; iteration yields the users in input order.
+    Postings map ``lower(first_name)``, ``(lower(first_name), birth year)``
+    and each liked page to the users holding them; iteration yields the
+    users in input order. A name-and-year cell holds input positions, so the
+    cells of a multi-year query merge back into input order.
     The index is a snapshot of the population's names and likes when it is
     built: later changes to those users' likes are not seen. During an
     identification run only the attacker's likes change, and the attacker
@@ -63,12 +68,17 @@ class SocialGraph:
 
     def __init__(self, population: Iterable[SimUser]):
         self.users = list(population)
-        self._by_name: dict[str, list[SimUser]] = defaultdict(list)
-        self._by_page: dict[str, list[SimUser]] = defaultdict(list)
-        for u in self.users:
-            self._by_name[u.first_name.lower()].append(u)
+        by_name: dict[str, list[SimUser]] = defaultdict(list)
+        by_name_year: dict[tuple[str, int], list[int]] = defaultdict(list)
+        by_page: dict[str, list[SimUser]] = defaultdict(list)
+        for i, u in enumerate(self.users):
+            name = u.first_name.lower()
+            by_name[name].append(u)
+            by_name_year[name, u.true_birthdate.year].append(i)
             for page in u.likes:
-                self._by_page[page].append(u)
+                by_page[page].append(u)
+        self._by_name, self._by_name_year, self._by_page = (
+            by_name, by_name_year, by_page)
 
     def __iter__(self) -> Iterator[SimUser]:
         return iter(self.users)
@@ -76,15 +86,25 @@ class SocialGraph:
     def matching(self, q: GraphQuery) -> list[SimUser]:
         """Users matching ``q``, in input order.
 
-        Candidates come from the shortest posting the query's name or pages
-        select (the whole population when it sets neither); each is then
-        checked against every field of the query.
+        Candidates come from the shortest posting the query's pages or name
+        select (the whole population when it sets neither); a name with
+        birth years selects the union of its cells for those years instead
+        of the whole-name posting. Each candidate is then checked against
+        every field of the query.
         """
+        name = None if q.name is None else q.name.lower()
         postings = [self._by_page.get(p, ()) for p in q.liked_pages]
-        if q.name is not None:
-            postings.append(self._by_name.get(q.name.lower(), ()))
+        if name is not None and q.birth_years is None:
+            postings.append(self._by_name.get(name, ()))
+        elif name is not None:
+            # Cells are disjoint and ascending: one is ready, more merge by
+            # position (sorted finds their runs and merges them).
+            cells = [c for y in q.birth_years
+                     if (c := self._by_name_year.get((name, y)))]
+            positions = cells[0] if len(cells) == 1 else sorted(chain(*cells))
+            postings.append([self.users[i] for i in positions])
         start = min(postings, key=len) if postings else self.users
-        return [u for u in start if _matches(u, q)]
+        return [u for u in start if _matches(u, name, q)]
 
 
 def forward_search(graph: SocialGraph, q: GraphQuery) -> set[str]:
@@ -148,6 +168,8 @@ def identify(victim_view: NearbyEntry, graph: SocialGraph,
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
 
     if victim_view.social_id is not None:
         return IdentificationResult([frozenset([victim_view.social_id])])

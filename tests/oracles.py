@@ -160,6 +160,14 @@ def scan_nearby(service, session, radius_m):
     return out
 
 
+def brute_matching(population, q):
+    """The users matching ``GraphQuery`` ``q``, in input order, by a full scan."""
+    return [u for u in population
+            if (q.name is None or u.first_name.lower() == q.name.lower())
+            and (q.birth_years is None or u.true_birthdate.year in q.birth_years)
+            and q.liked_pages <= u.likes]
+
+
 def brute_forward(population, name, birth_years, liked_pages):
     out = set()
     for u in population:
@@ -192,6 +200,8 @@ def brute_identify(victim_view, population, max_rounds=10, batch_size=10,
     """``socialgraph.identify`` by full scans (no trace)."""
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
     population = list(population)
     users_by_social = {u.social_id: u for u in population}
 

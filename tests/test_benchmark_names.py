@@ -10,6 +10,7 @@ that a patched name still sees the calls the benchmark counts.
 import ast
 import importlib.util
 import inspect
+import time
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ import pytest
 from proxileak.config import parse_scenario
 from proxileak.runner import run_scenario
 from proxileak.service import ProximityService
+from proxileak.socialgraph import SocialGraph
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -67,3 +69,24 @@ def test_the_solver_span_counts_real_solves_only(tmp_path):
     spans = tracer.by_name()
     assert len(spans["attacker.localize"]) == 17
     assert len(spans["mlat.multilaterate"]) == 10
+
+
+def test_every_pool_query_runs_inside_an_identify_span(tmp_path, monkeypatch):
+    # The benchmark's identify_crowd op time is the socialgraph.identify
+    # span, so a pool query made outside identify would go untimed.
+    calls = []
+    matching = SocialGraph.matching
+
+    def counting(self, q):
+        calls.append(time.perf_counter())
+        return matching(self, q)
+
+    monkeypatch.setattr(SocialGraph, "matching", counting)
+    cfg = parse_scenario(ROOT / "scenarios" / "identify_zipf.cfg")
+    with tracing.Tracer(["socialgraph.identify"]) as tracer:
+        run_scenario(cfg, tmp_path)
+    spans = [(t0, t1) for name, t0, t1, _, _ in tracer.spans
+             if name == "socialgraph.identify"]
+    assert len(spans) == cfg.identify_victims == 20
+    assert calls
+    assert all(any(t0 <= t <= t1 for t0, t1 in spans) for t in calls)

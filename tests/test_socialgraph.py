@@ -1,16 +1,19 @@
 from dataclasses import replace
 from datetime import date, timedelta
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_forward, brute_identify, brute_reverse
+from oracles import (brute_forward, brute_identify, brute_matching,
+                     brute_reverse)
 from proxileak.service import NearbyEntry, ProximityService
 from proxileak.socialgraph import (GraphQuery, IdentificationResult,
                                    SocialGraph, candidate_birth_years,
                                    forward_search, identify, reverse_search)
-from proxileak.world import (FUZZ_WINDOW_DAYS, DisclosurePolicy, SimUser,
-                             generate_population, stationary_trajectory)
+from proxileak.world import (BIRTH_RANGE, FUZZ_WINDOW_DAYS, DisclosurePolicy,
+                             SimUser, generate_population,
+                             stationary_trajectory)
 from proxileak.geo import GeoPoint
 from proxileak.report import write_csv
 
@@ -63,23 +66,59 @@ def test_reverse_vacuous_and_singleton():
     assert reverse_search(GRAPH, GraphQuery(birth_years=frozenset())) == set()
 
 
+def test_matching_merges_year_cells_in_input_order():
+    # A window across New Year hits two cells whose users interleave.
+    users = [user("a0", "Ann", 1981, {"p1"}), user("a1", "ANN", 1980, set()),
+             user("a2", "ann", 1981, set()), user("b0", "Bob", 1980, set())]
+    graph = SocialGraph(users)
+    for years in ({1980, 1981}, {1981, 1980, 1979}):
+        q = GraphQuery("aNN", frozenset(years))
+        assert graph.matching(q) == users[:3]
+    q = GraphQuery("Ann", frozenset({1981}))
+    assert graph.matching(q) == [users[0], users[2]]
+    assert graph.matching(GraphQuery("Ann", frozenset({1980, 1981}),
+                                     frozenset({"p1"}))) == users[:1]
+
+
 def test_forward_reverse_equal_brute_force_exhaustive(rng):
-    # populations up to 200 users, random queries; birth-year sets of up to
-    # three years, empty included, drawn around the population's years
+    # populations up to 200 users, five random queries each. Names: unset,
+    # absent, drawn (in changed case too). Birth-year sets: unset, up to
+    # three years around a user's, years of users sharing a name (so several
+    # name-and-year cells are hit), the population's edge years with the
+    # years just outside, the empty set and years nobody has.
+    lo, hi = BIRTH_RANGE[0].year, BIRTH_RANGE[1].year
     for trial in range(60):
         n = rng.randrange(1, 201)
         world = generate_population(n, 80, 1.0, seed=trial, mean_likes=3.0)
         pop = list(world.users.values())
         graph = SocialGraph(pop)
-        name = rng.choice([None, "John", pop[0].first_name])
-        y0 = pop[0].true_birthdate.year
-        years = rng.choice([None, frozenset(rng.sample(
-            range(y0 - 3, y0 + 4), rng.randrange(0, 4)))])
-        pages = set(rng.sample(world.catalog.page_ids,
-                               rng.randrange(0, 3)))
-        q = GraphQuery(name, years, frozenset(pages))
-        assert forward_search(graph, q) == brute_forward(pop, name, years, pages)
-        assert reverse_search(graph, q) == brute_reverse(pop, name, years, pages)
+        for _ in range(5):
+            drawn = rng.choice(pop)
+            name = rng.choice([None, "John", drawn.first_name,
+                               drawn.first_name.upper(),
+                               drawn.first_name.swapcase()])
+            y0 = drawn.true_birthdate.year
+            namesakes = [u.true_birthdate.year for u in pop
+                         if u.first_name == drawn.first_name]
+            years = rng.choice([
+                None,
+                frozenset(rng.sample(range(y0 - 3, y0 + 4),
+                                     rng.randrange(0, 4))),
+                frozenset(rng.sample(namesakes,
+                                     rng.randrange(1, len(namesakes) + 1))),
+                frozenset(rng.choice([(lo - 1, lo), (lo, lo + 1), (hi - 1, hi),
+                                      (hi, hi + 1)])),
+                frozenset(),
+                frozenset({lo - 10, hi + 10}),
+            ])
+            pages = set(rng.sample(world.catalog.page_ids,
+                                   rng.choice([0, 0, 1, 2])))
+            q = GraphQuery(name, years, frozenset(pages))
+            assert graph.matching(q) == brute_matching(pop, q)
+            assert forward_search(graph, q) == brute_forward(pop, name, years,
+                                                             pages)
+            assert reverse_search(graph, q) == brute_reverse(pop, name, years,
+                                                             pages)
 
 
 def test_candidate_birth_years():
@@ -118,6 +157,17 @@ def test_identify_twins_stall_at_two():
     assert not res.identified
     assert res.rounds_used == 1
     assert res.pools[-1] == {"t0", "t1"}
+
+
+def test_identify_rejects_empty_rounds_and_batches():
+    # batch_size=0 used to spend every round liking nothing, and -1 liked
+    # all candidate pages but one at once.
+    view = view_for(HANDCRAFTED[0], set(), bday=False)
+    for kwargs, message in [({"max_rounds": 0}, "max_rounds must be >= 1"),
+                            ({"batch_size": 0}, "batch_size must be >= 1"),
+                            ({"batch_size": -1}, "batch_size must be >= 1")]:
+        with pytest.raises(ValueError, match=message):
+            identify(view, GRAPH, like_and_refresh=lambda pages: view, **kwargs)
 
 
 def test_identify_social_id_short_circuit():
