@@ -4,35 +4,51 @@ One request object per line, one response object per line, UTF-8. Requests
 carry ``op`` plus op-specific fields (``token``, ``radius_m``, ``lat``,
 ``lon``, ``user_id``); unknown fields are ignored. Responses are either
 ``{"ok": true, ...payload}`` or ``{"ok": false, "error": code}`` with code
-one of ``auth``, ``not_found``, ``rate``, ``bad_request``. A malformed line
-yields one ``bad_request`` response and the connection stays open. A line
-longer than ``MAX_LINE_BYTES`` (newline included) yields one ``bad_request``
-and the server closes the connection. A connection that sends nothing, or
-stops reading, for ``IDLE_TIMEOUT_S`` is closed. Each connection holds its
-own session (login binds it).
+one of ``auth``, ``not_found``, ``rate``, ``bad_request``, ``busy``. A
+malformed line yields one ``bad_request`` response and the connection stays
+open. A line longer than ``MAX_LINE_BYTES`` (newline included) yields one
+``bad_request`` and the server closes the connection. A last line without a
+newline is answered before the server closes on EOF. Each connection holds
+its own session (login binds it).
+
+One thread serves every connection, one request at a time in arrival
+order, so a slow request (a whole-world ``nearby``) delays the other
+connections. A connection holds at most one line's worth of unread input
+(``MAX_LINE_BYTES`` + 1 bytes, enough to tell an overlong line) and one
+unsent response: nothing more is read from it while a whole line waits,
+and its next line is answered only once its previous response is sent. A connection that moves no byte either
+way (sends nothing, or stops reading) for ``IDLE_TIMEOUT_S`` is closed. A
+connection accepted while ``MAX_CONNECTIONS`` are open gets the single line
+``{"error":"busy","ok":false}`` and is closed.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import selectors
 import socket
-import socketserver
+import sys
 import threading
+import time
+from collections import deque
 
 from .geo import CoordinateError, GeoPoint
 from .service import AuthError, NearbyEntry, NotFoundError, ProximityService, RateError
 
 __all__ = ["entry_to_wire", "WireHandler", "ServiceServer", "ServiceClient"]
 
-# Longest request line the server reads, newline included; this bounds what
-# one client can make a connection thread hold.
+# Longest request line the server reads, newline included; this bounds the
+# input one connection makes the server hold.
 MAX_LINE_BYTES = 64 * 1024
 
-# Seconds a connection may wait on its peer, to read a request or to write a
-# response, before the server closes it; this bounds how long an idle or
-# stalled client holds a connection thread.
+# Seconds a connection may go without moving a byte either way, neither
+# sending a request nor reading a response, before the server closes it.
 IDLE_TIMEOUT_S = 300.0
+
+# Connections served at once; one accepted beyond it is told ``busy`` and
+# closed.
+MAX_CONNECTIONS = 64
 
 
 def _dump(obj: dict) -> str:
@@ -125,45 +141,222 @@ class WireHandler:
             return {"ok": False, "error": "bad_request"}
 
 
-class _ConnectionHandler(socketserver.StreamRequestHandler):
-    def setup(self):
-        # Read per connection; the base setup() sets it on the socket.
-        self.timeout = IDLE_TIMEOUT_S
-        super().setup()
+class _Connection:
+    """One client: its session, unread input, unsent output, last progress."""
 
-    def handle(self):
-        handler = WireHandler(self.server.service, self.server.world_lock)
-        try:
-            while raw := self.rfile.readline(MAX_LINE_BYTES + 1):
-                if len(raw) > MAX_LINE_BYTES:
-                    self._send({"ok": False, "error": "bad_request"})
-                    return
-                line = raw.decode("utf-8", errors="replace").strip()
-                if line:
-                    self._send(handler.handle_line(line))
-        except TimeoutError:
-            return  # idle or stalled peer: finish() closes the connection
+    __slots__ = ("sock", "address", "handler", "inbuf", "out", "last", "eof",
+                 "queued")
 
-    def _send(self, resp: dict) -> None:
-        self.wfile.write((_dump(resp) + "\n").encode("utf-8"))
-        self.wfile.flush()
+    def __init__(self, sock: socket.socket, address, handler: WireHandler,
+                 now: float):
+        self.sock = sock
+        self.address = address
+        self.handler = handler
+        self.inbuf = bytearray()  # at most MAX_LINE_BYTES + 1 bytes
+        self.out = b""  # the unsent tail of one response
+        self.last = now  # monotonic time of the last byte moved either way
+        self.eof = False  # no more input will be read
+        self.queued = False  # waiting in the server's ready queue
 
 
-class ServiceServer(socketserver.ThreadingTCPServer):
-    """Threaded server; all service access is serialized through one lock."""
+_BUSY = (_dump({"ok": False, "error": "busy"}) + "\n").encode("utf-8")
+_OVERLONG = (_dump({"ok": False, "error": "bad_request"}) + "\n").encode("utf-8")
 
-    allow_reuse_address = True
-    daemon_threads = True
+
+class ServiceServer:
+    """Serves every connection from one thread, one request at a time.
+
+    ``serve_forever`` runs a ``selectors`` loop on the calling thread. A
+    connection's next line is answered only once its previous response is
+    fully sent, and nothing is read from it while a complete line waits in
+    its buffer; a connection with a line to answer waits its turn in a
+    queue, one line per turn, so a pipelining client cannot starve the
+    others. Only this thread touches the service.
+    """
 
     def __init__(self, service: ProximityService, host: str = "127.0.0.1",
                  port: int = 0):
         self.service = service
-        self.world_lock = threading.Lock()
-        super().__init__((host, port), _ConnectionHandler)
+        self._listener = socket.create_server((host, port))
+        self._listener.setblocking(False)
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._listener, selectors.EVENT_READ)
+        self._conns: set[_Connection] = set()
+        self._ready: deque[_Connection] = deque()
+        self._now = time.monotonic()
+        self._shutdown_request = False
+        self._is_shut_down = threading.Event()
 
     @property
     def port(self) -> int:
-        return self.server_address[1]
+        return self._listener.getsockname()[1]
+
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        """Serve until ``shutdown``; idle connections are looked for once
+        per ``poll_interval`` seconds."""
+        self._is_shut_down.clear()
+        try:
+            sweep_at = time.monotonic() + poll_interval
+            while not self._shutdown_request:
+                events = self._selector.select(0 if self._ready else poll_interval)
+                self._now = now = time.monotonic()
+                accept = False
+                for key, mask in events:
+                    conn = key.data
+                    if conn is None:
+                        accept = True
+                        continue
+                    try:
+                        if conn.out:
+                            self._flush(conn)
+                        elif not conn.queued:
+                            self._receive(conn)
+                    except Exception:
+                        self._fail(conn)
+                for _ in range(len(self._ready)):
+                    conn = self._ready.popleft()
+                    if conn.queued:
+                        conn.queued = False
+                        try:
+                            self._advance(conn)
+                        except Exception:
+                            self._fail(conn)
+                # After the connections' events, so a slot freed by a peer
+                # that hung up is free for a connection accepted with it.
+                if accept:
+                    self._accept()
+                if now >= sweep_at:
+                    sweep_at = now + poll_interval
+                    limit = IDLE_TIMEOUT_S  # the module's value at each sweep
+                    for conn in [c for c in self._conns if now - c.last > limit]:
+                        self._close(conn)
+        finally:
+            self._shutdown_request = False
+            self._is_shut_down.set()
+
+    def shutdown(self) -> None:
+        """Stop ``serve_forever`` and wait for it to return; call it from
+        another thread."""
+        self._shutdown_request = True
+        self._is_shut_down.wait()
+
+    def server_close(self) -> None:
+        for conn in list(self._conns):
+            self._close(conn)
+        self._selector.close()
+        self._listener.close()
+
+    def _accept(self) -> None:
+        try:
+            sock, address = self._listener.accept()
+        except OSError:
+            return
+        sock.setblocking(False)
+        if len(self._conns) >= MAX_CONNECTIONS:
+            try:
+                sock.send(_BUSY)
+            except OSError:
+                pass
+            sock.close()
+            return
+        conn = _Connection(sock, address, WireHandler(self.service), self._now)
+        self._conns.add(conn)
+        self._selector.register(sock, selectors.EVENT_READ, conn)
+
+    def _receive(self, conn: _Connection) -> None:
+        try:
+            data = conn.sock.recv(MAX_LINE_BYTES + 1 - len(conn.inbuf))
+        except BlockingIOError:
+            return
+        except OSError:  # reset by the peer
+            self._close(conn)
+            return
+        conn.last = self._now
+        if data:
+            conn.inbuf += data
+        else:
+            conn.eof = True
+        self._advance(conn)
+
+    def _advance(self, conn: _Connection) -> None:
+        """Answer the connection's next buffered line, if it has a whole one
+        (or a last one before EOF); close it once its input is used up."""
+        buf = conn.inbuf
+        while True:
+            end = buf.find(b"\n", 0, MAX_LINE_BYTES) + 1
+            if not end:
+                if len(buf) > MAX_LINE_BYTES:
+                    # Refuse the line and close, leaving the rest unread.
+                    buf.clear()
+                    conn.eof = True
+                    self._send(conn, _OVERLONG)
+                    return
+                if not conn.eof:
+                    return  # wait for the rest of the line
+                if not buf:
+                    self._close(conn)
+                    return
+                end = len(buf)
+            line = buf[:end].decode("utf-8", errors="replace").strip()
+            del buf[:end]
+            if line:
+                break
+        resp = conn.handler.handle_line(line)
+        self._send(conn, (_dump(resp) + "\n").encode("utf-8"))
+
+    def _send(self, conn: _Connection, data: bytes) -> None:
+        try:
+            sent = conn.sock.send(data)
+        except BlockingIOError:
+            sent = 0
+        except OSError:
+            self._close(conn)
+            return
+        if sent:
+            conn.last = self._now
+        if sent < len(data):
+            conn.out = memoryview(data)[sent:]
+            self._selector.modify(conn.sock, selectors.EVENT_WRITE, conn)
+        elif conn.inbuf or conn.eof:
+            self._queue(conn)
+
+    def _flush(self, conn: _Connection) -> None:
+        try:
+            sent = conn.sock.send(conn.out)
+        except BlockingIOError:
+            return
+        except OSError:
+            self._close(conn)
+            return
+        conn.last = self._now
+        conn.out = conn.out[sent:]
+        if not conn.out:
+            self._selector.modify(conn.sock, selectors.EVENT_READ, conn)
+            if conn.inbuf or conn.eof:
+                self._queue(conn)
+
+    def _queue(self, conn: _Connection) -> None:
+        conn.queued = True
+        self._ready.append(conn)
+
+    def _fail(self, conn: _Connection) -> None:
+        """Report the exception being handled and close its connection."""
+        import traceback  # only on this path, to keep the server's imports small
+
+        print("-" * 40, file=sys.stderr)
+        print("Exception occurred during processing of request from",
+              conn.address, file=sys.stderr)
+        traceback.print_exc()
+        print("-" * 40, file=sys.stderr)
+        self._close(conn)
+
+    def _close(self, conn: _Connection) -> None:
+        if conn not in self._conns:
+            return
+        self._conns.remove(conn)
+        conn.queued = False
+        self._selector.unregister(conn.sock)
+        conn.sock.close()
 
 
 class ServiceClient:

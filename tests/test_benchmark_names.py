@@ -1,7 +1,9 @@
 """The names the benchmark in ``perfbench/`` reaches into the package by.
 
 ``perfbench/tracing.py`` patches functions and methods by dotted name, and
-``perfbench/run.py`` builds a ``ProximityService`` with keyword arguments.
+``perfbench/run.py`` builds a ``ProximityService`` with keyword arguments,
+a ``WireHandler`` per replayed connection and a ``ServiceClient`` per load
+connection.
 Its own tests sit outside the default test paths, so these checks keep a
 renamed or deleted name from breaking the benchmark unnoticed, and check
 that a patched name still sees the calls the benchmark counts.
@@ -19,6 +21,7 @@ from proxileak.config import parse_scenario
 from proxileak.runner import run_scenario
 from proxileak.service import ProximityService
 from proxileak.socialgraph import SocialGraph
+from proxileak.tcp import ServiceClient, WireHandler
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -45,17 +48,31 @@ def test_population_size_is_the_first_parameter_of_the_build():
     assert first == "n"
 
 
-def test_service_accepts_the_arguments_of_the_serve_replay():
+def bind_the_call(function: str, callee) -> None:
+    """Bind the arguments of the one call of ``callee`` in ``perfbench/run.py``'s
+    ``function`` to ``callee``'s signature; raises TypeError if they no longer fit."""
     tree = ast.parse((PERFBENCH / "run.py").read_text(encoding="utf-8"))
-    replay = next(node for node in tree.body
-                  if isinstance(node, ast.FunctionDef) and node.name == "replay")
-    calls = [node for node in ast.walk(replay)
+    body = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == function)
+    calls = [node for node in ast.walk(body)
              if isinstance(node, ast.Call)
-             and getattr(node.func, "id", None) == "ProximityService"]
+             and getattr(node.func, "id", None) == callee.__name__]
     assert len(calls) == 1
     call = calls[0]
-    inspect.signature(ProximityService).bind(
+    inspect.signature(callee).bind(
         *[None] * len(call.args), **{k.arg: None for k in call.keywords})
+
+
+def test_service_accepts_the_arguments_of_the_serve_replay():
+    bind_the_call("replay", ProximityService)
+
+
+def test_wire_handler_accepts_the_arguments_of_the_serve_replay():
+    bind_the_call("replay", WireHandler)
+
+
+def test_client_accepts_the_arguments_of_the_load_phase():
+    bind_the_call("load_phase", ServiceClient)
 
 
 def test_the_solver_span_counts_real_solves_only(tmp_path):

@@ -2,6 +2,7 @@
 
 import json
 import random
+import selectors
 import socket
 import threading
 import time
@@ -25,15 +26,23 @@ def make_service(n=15, seed=2, policy=None):
 
 
 @pytest.fixture
-def server():
+def serving():
+    """A server on a 15-user world and the thread running ``serve_forever``."""
     _, svc = make_service()
     srv = ServiceServer(svc)
     thread = threading.Thread(target=lambda: srv.serve_forever(poll_interval=0.02),
                               daemon=True)
     thread.start()
-    yield srv
+    yield srv, thread
     srv.shutdown()
     srv.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+@pytest.fixture
+def server(serving):
+    return serving[0]
 
 
 def test_login_nearby_round_trip(server):
@@ -270,6 +279,131 @@ def test_idle_and_stalled_connections_closed_quietly(server, monkeypatch, capsys
     with ServiceClient("127.0.0.1", server.port) as c:
         assert c.login(uid) == {"ok": True, "user_id": uid}
     assert "Traceback" not in capsys.readouterr().err
+
+
+# -- one serving thread: pipelining, backpressure, caps, faults ----------------
+
+def read_to_eof(sock) -> bytes:
+    chunks = []
+    while chunk := sock.recv(65536):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def connection_of(srv, sock):
+    """The server's state for the client socket ``sock``."""
+    return next(c for c in srv._conns if c.address == sock.getsockname())
+
+
+def test_pipelined_requests_answered_in_order(serving):
+    srv, _ = serving
+    ids = sorted(srv.service.world.users)
+    requests = [{"op": "login", "token": ids[0]}, {"op": "nearby", "radius_m": 1e6}]
+    for k in range(48):
+        requests.append({"op": "profile", "user_id": ids[k % len(ids)]} if k % 3
+                        else {"op": "update_location", "lat": 41.38 + k * 1e-4,
+                              "lon": 2.17})
+    _, twin = make_service()
+    expected = reference_responses(twin, requests)
+    assert len(expected) == 50 and len(set(map(_dump, expected))) > 10
+    with ServiceClient("127.0.0.1", srv.port) as c:
+        c._sock.sendall("".join(_dump(r) + "\n" for r in requests).encode())
+        assert [c.read_response() for _ in requests] == expected
+
+
+def test_unterminated_last_line_answered_before_eof(serving):
+    srv, _ = serving
+    uid = sorted(srv.service.world.users)[0]
+    with socket.create_connection(("127.0.0.1", srv.port), timeout=2) as s:
+        s.sendall(("garbage\n\n" + _dump({"op": "login", "token": uid})).encode())
+        s.shutdown(socket.SHUT_WR)
+        assert read_to_eof(s).decode().splitlines() == [
+            _dump({"ok": False, "error": "bad_request"}),
+            _dump({"ok": True, "user_id": uid})]
+
+
+def test_stalled_reader_holds_one_line_and_one_response(serving):
+    srv, _ = serving
+    ids = sorted(srv.service.world.users)
+    burst = ((_dump({"op": "login", "token": ids[0]}) + "\n")
+             + (_dump({"op": "nearby", "radius_m": 1e7}) + "\n") * 4000).encode()
+    with socket.create_connection(("127.0.0.1", srv.port), timeout=2) as a, \
+         ServiceClient("127.0.0.1", srv.port, timeout_s=2.0) as b:
+        a.sendall(burst)  # and never read
+        start = time.monotonic()
+        assert b.login(ids[1]) == {"ok": True, "user_id": ids[1]}
+        assert time.monotonic() - start < 2.0
+        # Once the reader's socket buffers are full the server holds one
+        # unsent response and at most one line of input for it, and it
+        # watches that connection for writability only.
+        deadline = time.monotonic() + 5.0
+        while not connection_of(srv, a).out:
+            assert time.monotonic() < deadline, "the burst never filled the buffers"
+            time.sleep(0.02)
+        held = connection_of(srv, a)
+        assert held.out and len(held.inbuf) <= MAX_LINE_BYTES + 1
+        assert srv._selector.get_key(held.sock).events == selectors.EVENT_WRITE
+        assert b.nearby(1e7)["ok"] is True
+        other = connection_of(srv, b._sock)
+        assert srv._selector.get_key(other.sock).events == selectors.EVENT_READ
+
+
+def test_overlong_line_closes_only_its_connection(serving):
+    srv, _ = serving
+    ids = sorted(srv.service.world.users)
+    with ServiceClient("127.0.0.1", srv.port) as c1, \
+         ServiceClient("127.0.0.1", srv.port) as c2:
+        assert c1.login(ids[0])["ok"] is True
+        c2.send_raw("x" * (MAX_LINE_BYTES + 10))
+        assert c2.read_response() == {"ok": False, "error": "bad_request"}
+        with pytest.raises(ConnectionError):
+            c2.read_response()
+        entries = c1.nearby(1e6)["entries"]
+        assert c1.profile(entries[0]["user_id"])["ok"] is True
+
+
+def test_connections_beyond_the_cap_are_told_busy(serving, monkeypatch):
+    srv, _ = serving
+    monkeypatch.setattr(tcp, "MAX_CONNECTIONS", 2)
+    ids = sorted(srv.service.world.users)
+    with ServiceClient("127.0.0.1", srv.port) as c2:
+        with ServiceClient("127.0.0.1", srv.port) as c1:
+            assert c1.login(ids[0])["ok"] is True
+            assert c2.login(ids[1])["ok"] is True
+            with socket.create_connection(("127.0.0.1", srv.port), timeout=2) as c3:
+                assert read_to_eof(c3) == b'{"error":"busy","ok":false}\n'
+        # c1 has hung up, so its slot is free again.
+        with ServiceClient("127.0.0.1", srv.port) as c4:
+            assert c4.login(ids[2]) == {"ok": True, "user_id": ids[2]}
+        assert c2.nearby(1e6)["ok"] is True
+
+
+def test_unexpected_error_ends_only_its_connection(serving, monkeypatch, capsys):
+    srv, thread = serving
+    ids = sorted(srv.service.world.users)
+    profile = ProximityService.profile
+    raised = []
+
+    def flaky(self, session, user_id):
+        if not raised:
+            raised.append(user_id)
+            raise RuntimeError("injected fault")
+        return profile(self, session, user_id)
+
+    monkeypatch.setattr(ProximityService, "profile", flaky)
+    with ServiceClient("127.0.0.1", srv.port) as c1, \
+         ServiceClient("127.0.0.1", srv.port) as c2:
+        for c, uid in ((c1, ids[0]), (c2, ids[1])):
+            assert c.login(uid)["ok"] is True
+            assert c.nearby(1e6)["ok"] is True
+        with pytest.raises(ConnectionError):
+            c1.profile(ids[2])
+        assert c2.profile(ids[2])["ok"] is True
+    assert raised == [ids[2]]
+    assert thread.is_alive()
+    err = capsys.readouterr().err
+    assert "Exception occurred during processing of request from" in err
+    assert "Traceback" in err and "RuntimeError: injected fault" in err
 
 
 # -- fuzz: every line gets exactly one well-formed response ---------------------
