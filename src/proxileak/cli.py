@@ -85,11 +85,7 @@ def _cmd_serve(args) -> int:
         return EXIT_RUNTIME
 
     def _stop(signum, frame):
-        # shutdown() blocks until serve_forever exits, so it must not run on
-        # the thread that is inside serve_forever (this handler's thread).
-        import threading
-
-        threading.Thread(target=server.shutdown, daemon=True).start()
+        server.shutdown()
 
     signal.signal(signal.SIGINT, _stop)
     signal.signal(signal.SIGTERM, _stop)

@@ -28,7 +28,7 @@ from ._kernels_py import NORM_L1, NORM_L2
 __all__ = [
     "DistanceSample", "SolverConfig", "PositionEstimate",
     "UnderdeterminedError", "DegenerateGeometryError",
-    "objective", "multilaterate", "runtime_profile",
+    "multilaterate", "runtime_profile",
     "backend_name", "SOLVER_NORMS",
 ]
 
@@ -128,20 +128,6 @@ def _as_arrays(samples: Sequence[DistanceSample]):
     return xs, ys, ds, ref
 
 
-def objective(p: EnuPoint, samples: Sequence[DistanceSample], norm: str = "l1") -> float:
-    """Mean residual norm of ``p`` against the samples.
-
-    l1: mean over samples of |dist(p, observer_i) - reported_i|;
-    l2: mean of the squared residuals. Any other norm raises ValueError.
-    """
-    if not samples:
-        raise ValueError("objective needs at least one sample")
-    xs, ys, ds, ref = _as_arrays(samples)
-    if p.ref != ref:
-        raise ValueError("point and samples must share one ENU reference")
-    return _impl.objective_value(xs, ys, ds, p.x_m, p.y_m, _norm_code(norm))
-
-
 def _spread_singular_values(xs, ys, cx: float, cy: float) -> tuple[float, float]:
     # Singular values of the centered observer matrix, via the 2x2 Gram matrix.
     sxx = sxy = syy = 0.0
@@ -238,7 +224,6 @@ def multilaterate(samples: Sequence[DistanceSample], cfg: SolverConfig) -> Posit
 
 
 def runtime_profile(sample_counts: Iterable[int], iteration_counts: Iterable[int],
-                    cfg: SolverConfig | None = None,
                     min_time_s: float = 0.02) -> list[tuple[int, int, float]]:
     """Wall-clock cost grid of the solver over samples x iterations.
 
@@ -246,8 +231,9 @@ def runtime_profile(sample_counts: Iterable[int], iteration_counts: Iterable[int
     iteration budget forced (no early stop), so the measurement reflects
     iteration cost, not convergence luck. Returns (samples, iterations,
     seconds_per_call) rows; run it single-threaded for stable numbers.
+    The search uses ``SolverConfig()``'s initial step and norm.
     """
-    cfg = cfg or SolverConfig()
+    cfg = SolverConfig()
     rows: list[tuple[int, int, float]] = []
     for n in sample_counts:
         if n < 1:

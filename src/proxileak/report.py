@@ -76,9 +76,6 @@ class AttackTrace:
             self._probed.add(event.target_id)
         self.events.append(event)
 
-    def __len__(self) -> int:
-        return len(self.events)
-
 
 @dataclass
 class ViolationReport:
@@ -255,20 +252,17 @@ def write_error_vs_quantum(rows: list[tuple[float, float, float, int]],
     _write(out_dir / "error_vs_quantum.svg", _svg(elements))
 
 
-def write_violations(report: ViolationReport, out_dir: Path) -> None:
-    """Tallies over the full closed vocabulary (zero rows included) plus
-    per-event labels. Activities never produced stay visible as count 0."""
+def emit(out_dir: Path, trace: AttackTrace) -> None:
+    """End an attack run: log the export in ``trace``, then write the
+    trace's violation tables into ``out_dir``: tallies over the full closed
+    vocabulary (activities never produced stay visible as count 0) and the
+    per-event labels."""
+    t = trace.events[-1].t if trace.events else 0.0
+    trace.append(TraceEvent("export", t))
+    report = classify(trace)
     write_csv(out_dir / "violations.csv", ("category", "activity", "count"),
               ((cat, act, report.tallies.get((cat, act), 0))
                for cat, acts in TAXONOMY.items() for act in acts))
     write_csv(out_dir / "trace_labels.csv",
               ("event_index", "event_kind", "category", "activity"),
               report.labels)
-
-
-def emit(out_dir: Path, trace: AttackTrace) -> None:
-    """End an attack run: log the export in ``trace``, then write the
-    trace's violation tables into ``out_dir``."""
-    t = trace.events[-1].t if trace.events else 0.0
-    trace.append(TraceEvent("export", t))
-    write_violations(classify(trace), out_dir)

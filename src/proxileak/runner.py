@@ -84,8 +84,7 @@ def build_service(cfg: ScenarioConfig, seed: int) -> ProximityService:
     """The service over a fresh ``build_world(cfg, seed)``, under cfg's policy."""
     return ProximityService(build_world(cfg, seed), build_policy(cfg),
                             teleport_limit_m=cfg.teleport_limit_m,
-                            teleport_cooldown_s=cfg.teleport_cooldown_s,
-                            scenario_seed=seed)
+                            teleport_cooldown_s=cfg.teleport_cooldown_s)
 
 
 def _solver_config(cfg: ScenarioConfig, seed: int) -> SolverConfig:
@@ -268,7 +267,7 @@ def run_sweep(cfg: ScenarioConfig, param: str, values: list[str],
         if value in seen:
             raise ConfigError(f"{v!r} repeats {seen[value]!r}", field="--values")
         seen[value] = v
-        jobs.append((v, validate(replace(cfg, **{param: value})),
+        jobs.append((validate(replace(cfg, **{param: value})),
                      out / f"{param}={v}"))
     out.mkdir(parents=True, exist_ok=True)
     workers = min(parallel, len(jobs))
@@ -276,20 +275,17 @@ def run_sweep(cfg: ScenarioConfig, param: str, values: list[str],
         import multiprocessing
 
         with multiprocessing.Pool(workers) as pool:
-            results = pool.starmap(_sweep_job, jobs)
+            results = pool.starmap(run_scenario, jobs)
     else:
-        results = [_sweep_job(*j) for j in jobs]
+        results = [run_scenario(*j) for j in jobs]
 
-    metric_keys = sorted({k for _, m in results for k in m})
+    metrics = [r.metrics for r in results]
+    metric_keys = sorted({k for m in metrics for k in m})
     report.write_csv(
         out / "sweep.csv", ("param", "value", *metric_keys),
-        ((param, v, *(metrics.get(k, "") for k in metric_keys))
-         for (v, _, _), (_, metrics) in zip(jobs, results)))
+        ((param, v, *(m.get(k, "") for k in metric_keys))
+         for v, m in zip(values, metrics)))
     if param == "distance_quantum_m" and cfg.attack == "localize":
         rows = [(float(v), m["median_error_m"], m["mean_error_m"], int(m["trials"]))
-                for (v, _, _), (_, m) in zip(jobs, results)]
+                for v, m in zip(values, metrics)]
         report.write_error_vs_quantum(rows, out)
-
-
-def _sweep_job(value: str, cfg: ScenarioConfig, out: Path):
-    return value, run_scenario(cfg, out).metrics

@@ -16,20 +16,25 @@ order, so a slow request (a whole-world ``nearby``) delays the other
 connections. A connection holds at most one line's worth of unread input
 (``MAX_LINE_BYTES`` + 1 bytes, enough to tell an overlong line) and one
 unsent response: nothing more is read from it while a whole line waits,
-and its next line is answered only once its previous response is sent. A connection that moves no byte either
-way (sends nothing, or stops reading) for ``IDLE_TIMEOUT_S`` is closed. A
-connection accepted while ``MAX_CONNECTIONS`` are open gets the single line
+and its next line is answered only once its previous response is sent. A
+connection that moves no byte either way (sends nothing, or stops reading)
+for ``IDLE_TIMEOUT_S`` is closed. A connection accepted while
+``MAX_CONNECTIONS`` are open gets the single line
 ``{"error":"busy","ok":false}`` and is closed.
+
+``ServiceServer.shutdown`` never waits, so any thread may call it, the
+serving one included (a signal handler). Whoever runs ``serve_forever`` on
+a thread joins that thread before ``server_close``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import selectors
 import socket
 import sys
-import threading
 import time
 from collections import deque
 
@@ -82,12 +87,16 @@ def entry_to_wire(entry: NearbyEntry) -> dict:
 
 
 class WireHandler:
-    """Maps one connection's JSON requests onto a service."""
+    """Maps one connection's JSON requests onto a service.
 
-    def __init__(self, service: ProximityService, lock: threading.Lock | None = None):
+    A ``lock`` shared by several handlers is held around each request; with
+    none, the handler takes no lock (one thread serves every connection)."""
+
+    def __init__(self, service: ProximityService,
+                 lock: contextlib.AbstractContextManager | None = None):
         self.service = service
         self.session = None
-        self._lock = lock or threading.Lock()
+        self._lock = lock or contextlib.nullcontext()
 
     def handle_line(self, line: str) -> dict:
         try:
@@ -185,16 +194,15 @@ class ServiceServer:
         self._ready: deque[_Connection] = deque()
         self._now = time.monotonic()
         self._shutdown_request = False
-        self._is_shut_down = threading.Event()
 
     @property
     def port(self) -> int:
         return self._listener.getsockname()[1]
 
     def serve_forever(self, poll_interval: float = 0.5) -> None:
-        """Serve until ``shutdown``; idle connections are looked for once
-        per ``poll_interval`` seconds."""
-        self._is_shut_down.clear()
+        """Serve until ``shutdown``, returning within ``poll_interval``
+        seconds of it; idle connections are looked for once per
+        ``poll_interval`` seconds."""
         try:
             sweep_at = time.monotonic() + poll_interval
             while not self._shutdown_request:
@@ -208,7 +216,7 @@ class ServiceServer:
                         continue
                     try:
                         if conn.out:
-                            self._flush(conn)
+                            self._send(conn, conn.out)
                         elif not conn.queued:
                             self._receive(conn)
                     except Exception:
@@ -232,13 +240,12 @@ class ServiceServer:
                         self._close(conn)
         finally:
             self._shutdown_request = False
-            self._is_shut_down.set()
 
     def shutdown(self) -> None:
-        """Stop ``serve_forever`` and wait for it to return; call it from
-        another thread."""
+        """Ask ``serve_forever`` to stop, and return without waiting; safe
+        from any thread, the serving one included. Asked before the loop
+        starts, it stops the loop at once."""
         self._shutdown_request = True
-        self._is_shut_down.wait()
 
     def server_close(self) -> None:
         for conn in list(self._conns):
@@ -304,7 +311,10 @@ class ServiceServer:
         resp = conn.handler.handle_line(line)
         self._send(conn, (_dump(resp) + "\n").encode("utf-8"))
 
-    def _send(self, conn: _Connection, data: bytes) -> None:
+    def _send(self, conn: _Connection, data) -> None:
+        """Send a new response, or the unsent tail in ``conn.out``. The
+        socket is watched for writing exactly while ``conn.out`` holds a
+        tail, and the next line is queued once nothing is left to send."""
         try:
             sent = conn.sock.send(data)
         except BlockingIOError:
@@ -315,25 +325,15 @@ class ServiceServer:
         if sent:
             conn.last = self._now
         if sent < len(data):
+            if not conn.out:
+                self._selector.modify(conn.sock, selectors.EVENT_WRITE, conn)
             conn.out = memoryview(data)[sent:]
-            self._selector.modify(conn.sock, selectors.EVENT_WRITE, conn)
-        elif conn.inbuf or conn.eof:
-            self._queue(conn)
-
-    def _flush(self, conn: _Connection) -> None:
-        try:
-            sent = conn.sock.send(conn.out)
-        except BlockingIOError:
             return
-        except OSError:
-            self._close(conn)
-            return
-        conn.last = self._now
-        conn.out = conn.out[sent:]
-        if not conn.out:
+        if conn.out:
+            conn.out = b""
             self._selector.modify(conn.sock, selectors.EVENT_READ, conn)
-            if conn.inbuf or conn.eof:
-                self._queue(conn)
+        if conn.inbuf or conn.eof:
+            self._queue(conn)
 
     def _queue(self, conn: _Connection) -> None:
         conn.queued = True

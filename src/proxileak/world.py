@@ -233,14 +233,13 @@ def commuter_trajectory(home: GeoPoint, work: GeoPoint, dwell_home_s: float,
 
 def random_walk_trajectory(start: GeoPoint, step_m: float, interval_s: float,
                            n_steps: int, rng: random.Random,
-                           bbox: BoundingBox | None = None) -> Trajectory:
+                           bbox: BoundingBox) -> Trajectory:
     waypoints = [(0.0, start)]
     p = start
     for k in range(1, n_steps + 1):
         ang = rng.uniform(0.0, 2.0 * math.pi)
-        q = from_enu(EnuPoint(step_m * math.cos(ang), step_m * math.sin(ang), p))
-        if bbox is not None:
-            q = bbox.clamp(q)
+        q = bbox.clamp(from_enu(EnuPoint(step_m * math.cos(ang),
+                                         step_m * math.sin(ang), p)))
         waypoints.append((k * interval_s, q))
         p = q
     return Trajectory(waypoints)

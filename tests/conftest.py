@@ -9,7 +9,7 @@ import sysconfig
 from pathlib import Path
 
 import pytest
-from hypothesis import Phase, settings
+from hypothesis import Phase, configuration, settings
 
 from proxileak.geo import GeoPoint
 
@@ -18,9 +18,21 @@ ROOT = Path(__file__).resolve().parents[1]
 # Hypothesis's explain phase re-runs a failing test's examples under a line
 # tracer; with heavy examples that takes minutes, so a failure would stall
 # the suite. Dropping it leaves the examples and the verdict as they are.
+# No example database: a run replays no earlier run's failures and writes
+# none into the working directory.
 settings.register_profile(
-    "proxileak", phases=[p for p in Phase if p is not Phase.explain])
+    "proxileak", phases=[p for p in Phase if p is not Phase.explain],
+    database=None)
 settings.load_profile("proxileak")
+
+
+def pytest_sessionstart(session):
+    """Hypothesis's own cache under pytest's temporary base (the factory the
+    ``tmp_path_factory`` fixture returns) instead of ``.hypothesis/`` in the
+    working directory. Its plugin caches the constants it harvests from the
+    test modules while pytest collects them, before any fixture runs."""
+    configuration.set_hypothesis_home_dir(
+        session.config._tmp_path_factory.mktemp("hypothesis"))
 
 
 @pytest.fixture

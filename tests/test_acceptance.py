@@ -352,6 +352,7 @@ def test_protocol_differential_and_policy_soundness():
                 sequences_checked += 1
         finally:
             srv.shutdown()
+            thread.join()
             srv.server_close()
     assert sequences_checked == 1000
 

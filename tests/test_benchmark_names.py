@@ -1,9 +1,10 @@
 """The names the benchmark in ``perfbench/`` reaches into the package by.
 
-``perfbench/tracing.py`` patches functions and methods by dotted name, and
+``perfbench/tracing.py`` patches functions and methods by dotted name,
 ``perfbench/run.py`` builds a ``ProximityService`` with keyword arguments,
 a ``WireHandler`` per replayed connection and a ``ServiceClient`` per load
-connection.
+connection, and ``perfbench/worker.py`` times the solver kernel with
+``mlat.runtime_profile``.
 Its own tests sit outside the default test paths, so these checks keep a
 renamed or deleted name from breaking the benchmark unnoticed, and check
 that a patched name still sees the calls the benchmark counts.
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from proxileak.config import parse_scenario
+from proxileak.mlat import runtime_profile
 from proxileak.runner import run_scenario
 from proxileak.service import ProximityService
 from proxileak.socialgraph import SocialGraph
@@ -48,15 +50,18 @@ def test_population_size_is_the_first_parameter_of_the_build():
     assert first == "n"
 
 
-def bind_the_call(function: str, callee) -> None:
-    """Bind the arguments of the one call of ``callee`` in ``perfbench/run.py``'s
-    ``function`` to ``callee``'s signature; raises TypeError if they no longer fit."""
-    tree = ast.parse((PERFBENCH / "run.py").read_text(encoding="utf-8"))
+def bind_the_call(file: str, function: str, callee) -> None:
+    """Bind the arguments of the one call of ``callee`` in ``function`` of
+    ``perfbench/<file>`` to ``callee``'s signature; raises TypeError if they
+    no longer fit. The call may name ``callee`` bare or through an
+    attribute (``module.callee``)."""
+    tree = ast.parse((PERFBENCH / file).read_text(encoding="utf-8"))
     body = next(node for node in tree.body
                 if isinstance(node, ast.FunctionDef) and node.name == function)
     calls = [node for node in ast.walk(body)
              if isinstance(node, ast.Call)
-             and getattr(node.func, "id", None) == callee.__name__]
+             and callee.__name__ in (getattr(node.func, "id", None),
+                                     getattr(node.func, "attr", None))]
     assert len(calls) == 1
     call = calls[0]
     inspect.signature(callee).bind(
@@ -64,15 +69,19 @@ def bind_the_call(function: str, callee) -> None:
 
 
 def test_service_accepts_the_arguments_of_the_serve_replay():
-    bind_the_call("replay", ProximityService)
+    bind_the_call("run.py", "replay", ProximityService)
 
 
 def test_wire_handler_accepts_the_arguments_of_the_serve_replay():
-    bind_the_call("replay", WireHandler)
+    bind_the_call("run.py", "replay", WireHandler)
 
 
 def test_client_accepts_the_arguments_of_the_load_phase():
-    bind_the_call("load_phase", ServiceClient)
+    bind_the_call("run.py", "load_phase", ServiceClient)
+
+
+def test_runtime_profile_accepts_the_arguments_of_the_kernel_job():
+    bind_the_call("worker.py", "run_kernel_job", runtime_profile)
 
 
 def test_the_solver_span_counts_real_solves_only(tmp_path):

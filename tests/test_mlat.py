@@ -2,16 +2,18 @@ import math
 import random
 import statistics
 import struct
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.configuration import storage_directory
 
 from oracles import grid_search_min
 from proxileak.geo import EnuPoint
-from proxileak.mlat import (DegenerateGeometryError, DistanceSample,
-                            SolverConfig,
-                            UnderdeterminedError, multilaterate, objective,
+from proxileak.mlat import (SOLVER_NORMS, DegenerateGeometryError,
+                            DistanceSample, SolverConfig,
+                            UnderdeterminedError, multilaterate,
                             runtime_profile)
 from proxileak.report import write_csv
 from proxileak.world import quantize_distance
@@ -33,37 +35,6 @@ def ring_instance(ref, rng, count, radius, quantum, target_spread=300.0):
         d = quantize_distance(math.hypot(ox - tx, oy - ty), quantum)
         samples.append(sample_at(ox, oy, d, ref, t=float(i), q=quantum))
     return samples, (tx, ty)
-
-
-# -- objective ----------------------------------------------------------------
-
-def test_objective_zero_at_truth(bcn):
-    samples = [sample_at(1000, 0, 1000, bcn), sample_at(0, 1000, 1000, bcn),
-               sample_at(-1000, 0, 1000, bcn)]
-    assert objective(EnuPoint(0, 0, bcn), samples, "l1") == 0.0
-    assert objective(EnuPoint(0, 0, bcn), samples, "l2") == 0.0
-
-
-def test_objective_on_circle_and_at_center(bcn):
-    s = [sample_at(0, 0, 100, bcn)]
-    assert objective(EnuPoint(100, 0, bcn), s, "l1") == 0.0
-    assert objective(EnuPoint(0, 0, bcn), s, "l1") == 100.0
-    assert objective(EnuPoint(0, 0, bcn), s, "l2") == 100.0 ** 2
-
-
-def test_objective_empty_rejected(bcn):
-    with pytest.raises(ValueError):
-        objective(EnuPoint(0, 0, bcn), [], "l1")
-
-
-def test_unknown_norm_rejected_like_the_solver_config(bcn):
-    s = [sample_at(0, 0, 100, bcn)]
-    assert objective(EnuPoint(0, 0, bcn), s, "L2") == 100.0 ** 2
-    for bad in ("bogus", "l3", ""):
-        with pytest.raises(ValueError, match="norm must be"):
-            objective(EnuPoint(0, 0, bcn), s, bad)
-        with pytest.raises(ValueError, match="norm must be"):
-            SolverConfig(norm=bad)
 
 
 # -- solver basics ------------------------------------------------------------
@@ -200,6 +171,13 @@ def test_samples_csv_round_trip(tmp_path, rows):
         [[float_bits(v) for v in row] for row in rows]
 
 
+def test_hypothesis_stores_nothing_in_the_repository():
+    # Set by conftest.py's profile and its pytest_sessionstart hook.
+    assert settings().database is None
+    home = storage_directory(intent_to_write=False).path.resolve()
+    assert not home.is_relative_to(Path(__file__).resolve().parents[1])
+
+
 def test_sample_validation(bcn):
     with pytest.raises(ValueError):
         DistanceSample(EnuPoint(0, 0, bcn), -1.0, 0.0)
@@ -220,3 +198,10 @@ def test_solver_config_rejects_non_finite_steps(field):
     for value in (math.nan, math.inf, -math.inf, 0.0):
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{field: value})
+
+
+def test_unknown_norm_rejected_like_the_solver_config():
+    assert SolverConfig(norm="L2").norm_code == SOLVER_NORMS["l2"]
+    for bad in ("bogus", "l3", ""):
+        with pytest.raises(ValueError, match="norm must be"):
+            SolverConfig(norm=bad)

@@ -35,9 +35,9 @@ def serving():
     thread.start()
     yield srv, thread
     srv.shutdown()
-    srv.server_close()
     thread.join(timeout=5)
     assert not thread.is_alive()
+    srv.server_close()
 
 
 @pytest.fixture
@@ -190,6 +190,7 @@ def test_differential_wire_vs_inprocess():
                 got = [c.request(r) for r in requests]
         finally:
             srv.shutdown()
+            thread.join()
             srv.server_close()
         assert got == expected
 
@@ -404,6 +405,61 @@ def test_unexpected_error_ends_only_its_connection(serving, monkeypatch, capsys)
     err = capsys.readouterr().err
     assert "Exception occurred during processing of request from" in err
     assert "Traceback" in err and "RuntimeError: injected fault" in err
+
+
+def test_shutdown_from_the_serving_thread_returns(monkeypatch):
+    # As a signal handler does when the signal arrives during select: the
+    # serving thread itself asks the loop it runs to stop.
+    _, svc = make_service()
+    srv = ServiceServer(svc)
+    uid = sorted(svc.world.users)[0]
+    login = ProximityService.login
+
+    def stopping(self, token):
+        srv.shutdown()
+        return login(self, token)
+
+    monkeypatch.setattr(ProximityService, "login", stopping)
+    thread = threading.Thread(target=lambda: srv.serve_forever(poll_interval=0.02),
+                              daemon=True)
+    thread.start()
+    with ServiceClient("127.0.0.1", srv.port, timeout_s=2.0) as c:
+        assert c.login(uid) == {"ok": True, "user_id": uid}
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+    srv.server_close()
+
+
+def test_shutdown_before_the_loop_starts_stops_it():
+    _, svc = make_service()
+    srv = ServiceServer(svc)
+    asking = threading.Thread(target=srv.shutdown, daemon=True)
+    asking.start()
+    asking.join(timeout=2)
+    assert not asking.is_alive(), "shutdown() waited for a loop not yet started"
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+    srv.server_close()
+
+
+def test_handler_holds_a_shared_lock_around_each_request(monkeypatch):
+    _, svc = make_service()
+    lock = threading.Lock()
+    held = []
+    nearby = ProximityService.nearby
+
+    def watched(self, session, radius_m):
+        held.append(lock.locked())
+        return nearby(self, session, radius_m)
+
+    monkeypatch.setattr(ProximityService, "nearby", watched)
+    h = WireHandler(svc, lock)
+    uid = sorted(svc.world.users)[0]
+    assert h.handle_line(_dump({"op": "login", "token": uid}))["ok"] is True
+    assert h.handle_line(_dump({"op": "nearby", "radius_m": 1e6}))["ok"] is True
+    assert held == [True] and not lock.locked()
 
 
 # -- fuzz: every line gets exactly one well-formed response ---------------------
