@@ -10,6 +10,7 @@ respect to location updates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import date
 
@@ -94,8 +95,10 @@ class ProximityService:
         cooldown has elapsed since the caller's last move.
         """
         uid = session.user_id
-        old = self.world.position_of(uid)
-        if haversine_m(old, p) > self.teleport_limit_m:
+        limit = self.teleport_limit_m
+        # No move exceeds an infinite limit: skip the distance (a NaN limit
+        # rejects nothing either way).
+        if limit < math.inf and haversine_m(self.world.position_of(uid), p) > limit:
             # Cooldown counts from the last manual move (scenario start if none).
             waited = self.world.now_s - self._last_move_t.get(uid, 0.0)
             if waited < self.teleport_cooldown_s:

@@ -11,6 +11,12 @@ open. A line longer than ``MAX_LINE_BYTES`` (newline included) yields one
 newline is answered before the server closes on EOF. Each connection holds
 its own session (login binds it).
 
+Every line the server writes, and every request ``ServiceClient.request``
+sends, has one canonical encoding: keys sorted, ``,`` and ``:`` separators
+with no spaces, non-ASCII characters as ``\\uXXXX`` escapes, then one
+``\\n``. That is ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``
+plus the newline, byte for byte.
+
 One thread serves every connection, one request at a time in arrival
 order, so a slow request (a whole-world ``nearby``) delays the other
 connections. A connection holds at most one line's worth of unread input
@@ -56,8 +62,14 @@ IDLE_TIMEOUT_S = 300.0
 MAX_CONNECTIONS = 64
 
 
-def _dump(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# The canonical encoding above. One shared encoder: ``json.dumps`` with
+# non-default arguments builds a new one on every call. ``encode`` keeps no
+# state between calls, so threads may share it.
+_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _line(obj: dict) -> bytes:
+    return (_dump(obj) + "\n").encode("ascii")
 
 
 def _finite_number(value) -> bool:
@@ -86,6 +98,12 @@ def entry_to_wire(entry: NearbyEntry) -> dict:
     return out
 
 
+# ``update_location``'s reply, half of a tracking attacker's requests: the
+# handler returns this one shared dict and the server writes ``_OK_LINE``.
+_OK: dict = {"ok": True}
+_OK_LINE = _line(_OK)
+
+
 class WireHandler:
     """Maps one connection's JSON requests onto a service.
 
@@ -96,9 +114,19 @@ class WireHandler:
                  lock: contextlib.AbstractContextManager | None = None):
         self.service = service
         self.session = None
-        self._lock = lock or contextlib.nullcontext()
+        self._lock = lock
 
     def handle_line(self, line: str) -> dict:
+        """The reply to one request line, a dict no other reply shares."""
+        resp = self._respond(line)
+        return {"ok": True} if resp is _OK else resp
+
+    def reply_line(self, line: str) -> bytes:
+        """The reply to one request line, encoded for the wire."""
+        resp = self._respond(line)
+        return _OK_LINE if resp is _OK else _line(resp)
+
+    def _respond(self, line: str) -> dict:
         try:
             req = json.loads(line)
         except (ValueError, RecursionError):
@@ -107,6 +135,8 @@ class WireHandler:
             return {"ok": False, "error": "bad_request"}
         if not isinstance(req, dict):
             return {"ok": False, "error": "bad_request"}
+        if self._lock is None:
+            return self._dispatch(req)
         with self._lock:
             return self._dispatch(req)
 
@@ -126,7 +156,7 @@ class WireHandler:
                 if not (_finite_number(lat) and _finite_number(lon)):
                     return {"ok": False, "error": "bad_request"}
                 self.service.update_location(self.session, GeoPoint(lat, lon))
-                return {"ok": True}
+                return _OK
             if op == "nearby":
                 radius = req.get("radius_m")
                 if not _finite_number(radius) or radius <= 0:
@@ -168,8 +198,8 @@ class _Connection:
         self.queued = False  # waiting in the server's ready queue
 
 
-_BUSY = (_dump({"ok": False, "error": "busy"}) + "\n").encode("utf-8")
-_OVERLONG = (_dump({"ok": False, "error": "bad_request"}) + "\n").encode("utf-8")
+_BUSY = _line({"ok": False, "error": "busy"})
+_OVERLONG = _line({"ok": False, "error": "bad_request"})
 
 
 class ServiceServer:
@@ -308,8 +338,7 @@ class ServiceServer:
             del buf[:end]
             if line:
                 break
-        resp = conn.handler.handle_line(line)
-        self._send(conn, (_dump(resp) + "\n").encode("utf-8"))
+        self._send(conn, conn.handler.reply_line(line))
 
     def _send(self, conn: _Connection, data) -> None:
         """Send a new response, or the unsent tail in ``conn.out``. The
@@ -379,16 +408,19 @@ class ServiceClient:
         self.close()
 
     def request(self, req: dict) -> dict:
-        self.send_raw(_dump(req))
+        self._sock.sendall(_line(req))
         return self.read_response()
 
     def send_raw(self, line: str) -> None:
         self._sock.sendall((line + "\n").encode("utf-8"))
 
     def read_response(self) -> dict:
+        """The next reply; ``ConnectionError`` if the server closed the
+        connection before its newline."""
         line = self._rfile.readline()
-        if not line:
-            raise ConnectionError("server closed the connection")
+        if not line.endswith("\n"):
+            raise ConnectionError("server closed the connection"
+                                  + (" in the middle of a reply" if line else ""))
         return json.loads(line)
 
     # convenience wrappers

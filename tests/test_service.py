@@ -5,6 +5,7 @@ import random
 import pytest
 
 from oracles import scan_nearby
+from proxileak import service
 from proxileak.geo import GeoPoint, from_enu, EnuPoint, haversine_m
 from proxileak.service import (AuthError, NotFoundError, ProximityService,
                                RateError)
@@ -61,6 +62,36 @@ def test_teleport_limit_rejects_and_preserves_position():
     near = from_enu(EnuPoint(400.0, 300.0, before))
     svc.update_location(s, near)  # 500 m move fine
     assert world.position_of(uid) == near
+
+
+def test_unlimited_moves_measure_no_distance(monkeypatch):
+    world, svc = make_service()
+    uid = next(iter(world.users))
+    s = svc.login(uid)
+
+    def unwanted(a, b):
+        raise AssertionError("distance measured under an infinite limit")
+
+    monkeypatch.setattr(service, "haversine_m", unwanted)
+    far = GeoPoint(world.position_of(uid).lat_deg + 5.0, 2.2)
+    svc.update_location(s, far)
+    assert world.position_of(uid) == far
+
+
+def test_teleport_limit_is_inclusive():
+    world, svc = make_service(teleport_cooldown_s=math.inf)
+    uid = next(iter(world.users))
+    s = svc.login(uid)
+    start = world.position_of(uid)
+    step = from_enu(EnuPoint(300.0, 400.0, start))
+    svc.teleport_limit_m = haversine_m(start, step)
+    svc.update_location(s, step)  # exactly the limit
+    assert world.position_of(uid) == step
+    beyond = from_enu(EnuPoint(300.0, 400.001, step))
+    assert haversine_m(step, beyond) > svc.teleport_limit_m
+    with pytest.raises(RateError):
+        svc.update_location(s, beyond)
+    assert world.position_of(uid) == step
 
 
 def test_teleport_cooldown_allows_jump():

@@ -1,9 +1,12 @@
 """Wire protocol contract plus the in-process/TCP differential."""
 
+import contextlib
 import json
+import math
 import random
 import selectors
 import socket
+import sys
 import threading
 import time
 
@@ -11,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from proxileak.geo import GeoPoint
+from proxileak.geo import EnuPoint, GeoPoint, from_enu, haversine_m
 from proxileak.service import (AuthError, NotFoundError, ProximityService,
                                RateError)
 from proxileak import tcp
@@ -25,19 +28,28 @@ def make_service(n=15, seed=2, policy=None):
     return world, ProximityService(world, policy or DisclosurePolicy())
 
 
-@pytest.fixture
-def serving():
-    """A server on a 15-user world and the thread running ``serve_forever``."""
-    _, svc = make_service()
+@contextlib.contextmanager
+def running(svc):
+    """A server for ``svc`` and the thread running its ``serve_forever``."""
     srv = ServiceServer(svc)
     thread = threading.Thread(target=lambda: srv.serve_forever(poll_interval=0.02),
                               daemon=True)
     thread.start()
-    yield srv, thread
-    srv.shutdown()
-    thread.join(timeout=5)
-    assert not thread.is_alive()
-    srv.server_close()
+    try:
+        yield srv, thread
+    finally:
+        srv.shutdown()
+        thread.join(timeout=5)
+        stopped = not thread.is_alive()
+        srv.server_close()
+    assert stopped
+
+
+@pytest.fixture
+def serving():
+    """A server on a 15-user world and the thread running ``serve_forever``."""
+    with running(make_service()[1]) as served:
+        yield served
 
 
 @pytest.fixture
@@ -181,18 +193,147 @@ def test_differential_wire_vs_inprocess():
         requests = random_requests(rng, ids)
         expected = reference_responses(svc_a, requests)
 
-        srv = ServiceServer(svc_b)
-        thread = threading.Thread(target=lambda: srv.serve_forever(poll_interval=0.02),
-                                  daemon=True)
-        thread.start()
-        try:
-            with ServiceClient("127.0.0.1", srv.port) as c:
-                got = [c.request(r) for r in requests]
-        finally:
-            srv.shutdown()
-            thread.join()
-            srv.server_close()
+        with running(svc_b) as (srv, _), \
+             ServiceClient("127.0.0.1", srv.port) as c:
+            got = [c.request(r) for r in requests]
         assert got == expected
+
+
+def canonical(ref: dict) -> bytes:
+    """The wire bytes of ``ref``, spelled out independently of tcp.py."""
+    return (json.dumps(ref, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+def test_every_reply_kind_has_the_canonical_bytes(monkeypatch):
+    # One user gets a non-ASCII name, so the entries pin the \uXXXX escapes.
+    policy = DisclosurePolicy(share_social_id=True)
+    worlds = [make_service(policy=policy) for _ in range(2)]
+    for world, svc in worlds:
+        world.users[sorted(world.users)[3]].first_name = "N\u00faria"
+        svc.teleport_limit_m = 1000.0
+        svc.teleport_cooldown_s = float("inf")
+    (world, twin), (_, served) = worlds
+    ids = sorted(world.users)
+    home = world.position_of(ids[0])
+    requests = [
+        {"op": "nearby", "radius_m": 500.0},
+        {"op": "login", "token": "ghost"},
+        {"op": "login", "token": ids[0]},
+        {"op": "update_location", "lat": home.lat_deg + 0.001, "lon": home.lon_deg},
+        {"op": "update_location", "lat": home.lat_deg + 0.1, "lon": home.lon_deg},
+        {"op": "nearby", "radius_m": 1e7},
+        {"op": "profile", "user_id": ids[3]},
+        {"op": "profile", "user_id": "ghost"},
+        {"op": "nearby", "radius_m": -1.0},
+    ]
+    expected = [canonical({"ok": False, "error": "bad_request"})]
+    expected += [canonical(r) for r in reference_responses(twin, requests)]
+    assert [json.loads(e).get("error", "ok") for e in expected] == [
+        "bad_request", "auth", "auth", "ok", "ok", "rate", "ok", "ok",
+        "not_found", "bad_request"]
+    assert b"N\\u00faria" in expected[6] and b"N\\u00faria" in expected[7]
+    with running(served) as (srv, _):
+        monkeypatch.setattr(tcp, "MAX_CONNECTIONS", 1)
+        with socket.create_connection(("127.0.0.1", srv.port), timeout=5) as s, \
+             s.makefile("rb") as replies:
+            got = []
+            for line in ["not json"] + [json.dumps(r) for r in requests]:
+                s.sendall(line.encode() + b"\n")
+                got.append(replies.readline())
+            assert got == expected
+            with socket.create_connection(("127.0.0.1", srv.port), timeout=5) as busy:
+                assert read_to_eof(busy) == canonical({"ok": False, "error": "busy"})
+            s.sendall(b"x" * (MAX_LINE_BYTES + 10))
+            assert replies.readline() == canonical({"ok": False, "error": "bad_request"})
+
+
+def test_reply_cut_off_by_eof_raises_connection_error():
+    # As when the server closes a stalled connection with its reply half sent.
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        def half_a_reply():
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(65536)
+                conn.sendall(b'{"ok":true,"us')
+
+        thread = threading.Thread(target=half_a_reply, daemon=True)
+        thread.start()
+        with ServiceClient("127.0.0.1", listener.getsockname()[1],
+                           timeout_s=5.0) as c:
+            with pytest.raises(ConnectionError):
+                c.login("anyone")
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+def test_concurrent_clients_match_a_sequential_replay():
+    # Two closed-loop clients, as in a small serve_mix: moves within 60 m of
+    # their own homes, profile polls of a third user, and 500 m nearby calls
+    # that find a neighbour. The two homes lie kilometres apart, so neither
+    # client's moves change what the other is told, and each connection's
+    # replies must equal a sequential in-process replay of its own requests.
+    world, _ = make_service(n=200, seed=6)
+    ids = sorted(world.users)
+
+    def neighboured(uid):
+        return any(0 < haversine_m(world.position_of(uid), world.position_of(v)) < 400
+                   for v in ids)
+
+    first = next(filter(neighboured, ids))
+    second = next(u for u in ids if neighboured(u) and haversine_m(
+        world.position_of(first), world.position_of(u)) > 3000.0)
+    target = next(u for u in ids if u not in (first, second))
+    streams = []
+    for uid in (first, second):
+        home = world.position_of(uid)
+        loop = []
+        for i in range(160):
+            if i % 8 == 7:
+                loop.append({"op": "nearby", "radius_m": 500.0})
+            elif i % 2 == 0:
+                angle = i * 0.7
+                p = from_enu(EnuPoint(60.0 * math.cos(angle), 60.0 * math.sin(angle),
+                                      home))
+                loop.append({"op": "update_location", "lat": p.lat_deg,
+                             "lon": p.lon_deg})
+            else:
+                loop.append({"op": "profile", "user_id": target})
+        streams.append(([{"op": "login", "token": uid},
+                         {"op": "nearby", "radius_m": 1e7}], loop))
+
+    _, twin = make_service(n=200, seed=6)
+    handlers = [WireHandler(twin) for _ in streams]
+    expected = [[h.handle_line(json.dumps(r)) for r in prologue]
+                for h, (prologue, _) in zip(handlers, streams)]
+    for h, (_, loop), out in zip(handlers, streams, expected):
+        out += [h.handle_line(json.dumps(r)) for r in loop]
+    assert all(r["ok"] for out in expected for r in out)
+    assert all(r["entries"] for out in expected for r in out if "entries" in r)
+
+    barrier = threading.Barrier(len(streams))
+    got = [None] * len(streams)
+
+    def client(i, port):
+        prologue, loop = streams[i]
+        with ServiceClient("127.0.0.1", port, timeout_s=10.0) as c:
+            replies = [c.request(r) for r in prologue]
+            barrier.wait(timeout=10)
+            got[i] = replies + [c.request(r) for r in loop]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with running(make_service(n=200, seed=6)[1]) as (srv, _):
+            threads = [threading.Thread(target=client, args=(i, srv.port), daemon=True)
+                       for i in range(len(streams))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected
 
 
 def test_handler_without_network():
