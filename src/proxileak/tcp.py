@@ -98,8 +98,8 @@ def entry_to_wire(entry: NearbyEntry) -> dict:
     return out
 
 
-# ``update_location``'s reply, half of a tracking attacker's requests: the
-# handler returns this one shared dict and the server writes ``_OK_LINE``.
+# ``update_location``'s reply, half of a tracking attacker's requests, is
+# written from these bytes. ``_OK`` is only compared against, never returned.
 _OK: dict = {"ok": True}
 _OK_LINE = _line(_OK)
 
@@ -114,19 +114,9 @@ class WireHandler:
                  lock: contextlib.AbstractContextManager | None = None):
         self.service = service
         self.session = None
-        self._lock = lock
+        self._lock = lock or contextlib.nullcontext()
 
     def handle_line(self, line: str) -> dict:
-        """The reply to one request line, a dict no other reply shares."""
-        resp = self._respond(line)
-        return {"ok": True} if resp is _OK else resp
-
-    def reply_line(self, line: str) -> bytes:
-        """The reply to one request line, encoded for the wire."""
-        resp = self._respond(line)
-        return _OK_LINE if resp is _OK else _line(resp)
-
-    def _respond(self, line: str) -> dict:
         try:
             req = json.loads(line)
         except (ValueError, RecursionError):
@@ -135,8 +125,6 @@ class WireHandler:
             return {"ok": False, "error": "bad_request"}
         if not isinstance(req, dict):
             return {"ok": False, "error": "bad_request"}
-        if self._lock is None:
-            return self._dispatch(req)
         with self._lock:
             return self._dispatch(req)
 
@@ -156,7 +144,7 @@ class WireHandler:
                 if not (_finite_number(lat) and _finite_number(lon)):
                     return {"ok": False, "error": "bad_request"}
                 self.service.update_location(self.session, GeoPoint(lat, lon))
-                return _OK
+                return {"ok": True}
             if op == "nearby":
                 radius = req.get("radius_m")
                 if not _finite_number(radius) or radius <= 0:
@@ -338,7 +326,8 @@ class ServiceServer:
             del buf[:end]
             if line:
                 break
-        self._send(conn, conn.handler.reply_line(line))
+        resp = conn.handler.handle_line(line)
+        self._send(conn, _OK_LINE if resp == _OK else _line(resp))
 
     def _send(self, conn: _Connection, data) -> None:
         """Send a new response, or the unsent tail in ``conn.out``. The

@@ -366,8 +366,9 @@ class World:
     def position_of(self, user_id: str) -> GeoPoint:
         """Service-visible position now: explicit override if set, else
         trajectory."""
-        p = self._overrides.get(user_id)
-        return self.true_position_of(user_id) if p is None else p
+        if user_id in self._overrides:
+            return self._overrides[user_id]
+        return self.true_position_of(user_id)
 
     def true_position_of(self, user_id: str) -> GeoPoint:
         """Trajectory ground truth now, ignoring any manual location override."""
