@@ -35,8 +35,9 @@ __all__ = ["RunResult", "build_policy", "build_service", "build_world",
 ATTACKER_ID = "attacker"
 TARGET_ID = "u00000"
 
-# No great-circle distance exceeds half the circumference, so a discovery
-# sweep of this radius sees the whole world wherever the bbox lies.
+# No great-circle distance exceeds half the circumference, so a nearby
+# query of this radius sees the whole world wherever the bbox lies: the
+# users that the discovery sweep's ProximityService.discover marks.
 DISCOVER_RADIUS_M = math.pi * EARTH_RADIUS_M
 
 
@@ -124,7 +125,7 @@ def _open_attack(cfg: ScenarioConfig, seed: int,
     session = service.login(ATTACKER_ID)
     prior = _coarse_prior(world.true_position_of(TARGET_ID),
                           cfg.probe_center_offset_m, seed)
-    service.nearby(session, DISCOVER_RADIUS_M)
+    service.discover(session)
     return Attacker(service, session, ref=prior, trace=trace,
                     advance=world.advance)
 

@@ -136,6 +136,19 @@ class ProximityService:
             session.discovered.update([uid for _, uid, _ in hits])
             return [self._render(requester, user, qd) for qd, _, user in hits]
 
+    def discover(self, session: Session) -> None:
+        """Make every other user discoverable by :meth:`profile` for this
+        session, without rendering any of them.
+
+        Marks the users that ``nearby(session, math.pi * EARTH_RADIUS_M)``
+        returns: that radius makes it scan every user, ``haversine_m`` is
+        at most ``(2 * R) * asin(1)``, and since ``asin(1)`` is
+        ``math.pi / 2`` exactly, that product rounds the same real number
+        as ``math.pi * R`` does, so no distance exceeds it.
+        """
+        uid = session.user_id
+        session.discovered.update(u for u in self.world.users if u != uid)
+
     def profile(self, session: Session, user_id: str) -> NearbyEntry:
         """Fresh policy-filtered view of a previously discovered user."""
         if user_id not in self.world.users or user_id not in session.discovered:

@@ -400,9 +400,6 @@ class ServiceClient:
         self._sock.sendall(_line(req))
         return self.read_response()
 
-    def send_raw(self, line: str) -> None:
-        self._sock.sendall((line + "\n").encode("utf-8"))
-
     def read_response(self) -> dict:
         """The next reply; ``ConnectionError`` if the server closed the
         connection before its newline."""

@@ -13,6 +13,7 @@ from proxileak import runner
 from proxileak.cli import EXIT_CONFIG, EXIT_OK, main
 from proxileak.config import parse_scenario
 from proxileak.geo import EnuPoint, GeoPoint, from_enu, haversine_m
+from proxileak.service import ProximityService
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -254,6 +255,20 @@ def test_discovery_covers_a_bbox_around_the_pole(tmp_path):
     assert main(["run", str(ROOT / "scenarios" / "track_commuter.cfg"),
                  "--out", str(out), "--set", "bbox=89.9,-180,90,180"]) == EXIT_OK
     assert (out / "track.csv").is_file()
+
+
+def test_identify_run_renders_only_the_profiles_it_polls(tmp_path, monkeypatch):
+    # The discovery sweep marks users discoverable without rendering them.
+    calls = {"_render": 0, "profile": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(ProximityService, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(ProximityService, name, counted)
+    runner.run_scenario(parse_scenario(ROOT / "scenarios" / "identify_zipf.cfg"),
+                        tmp_path)
+    assert calls["profile"] > 0
+    assert calls["_render"] == calls["profile"]
 
 
 def test_sweep_unknown_param(tmp_path):

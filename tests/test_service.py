@@ -1,16 +1,21 @@
 import gc
 import math
 import random
+from datetime import date
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import scan_nearby
 from proxileak import service
 from proxileak.geo import GeoPoint, from_enu, EnuPoint, haversine_m
+from proxileak.runner import DISCOVER_RADIUS_M
 from proxileak.service import (AuthError, NotFoundError, ProximityService,
                                RateError)
-from proxileak.world import (DisclosurePolicy, POLICY_PRESETS,
-                             fuzz_birthdate, generate_population)
+from proxileak.world import (BoundingBox, DisclosurePolicy, PageCatalog,
+                             POLICY_PRESETS, SimUser, World, fuzz_birthdate,
+                             generate_population, stationary_trajectory)
 
 
 def make_service(n=20, seed=4, policy=None, **kw):
@@ -147,6 +152,43 @@ def test_nearby_leaves_the_gc_state_as_found(gc_state):
     for radius in (500.0, math.inf):
         svc.nearby(s, radius)
         assert gc.isenabled() is gc_state
+
+
+# Where the users of a drawn world live, as (lat_min, lon_min, lat_max,
+# lon_max): a city, around the north pole, up to the antimeridian, anywhere.
+SWEEP_REGIONS = ((41.35, 2.10, 41.45, 2.25), (89.0, -180.0, 89.9, 180.0),
+                 (-0.5, 179.8, 0.5, 180.0), (-90.0, -180.0, 90.0, 180.0))
+
+
+@st.composite
+def sweeps(draw):
+    """A small world of stationary users, maybe with one user's exact
+    antipode, and a caller."""
+    lat0, lon0, lat1, lon1 = draw(st.sampled_from(SWEEP_REGIONS))
+    points = draw(st.lists(st.builds(GeoPoint, st.floats(lat0, lat1),
+                                     st.floats(lon0, lon1)),
+                           min_size=1, max_size=40))
+    if draw(st.booleans()):
+        points.append(GeoPoint(-points[0].lat_deg, points[0].lon_deg + 180.0))
+    users = {f"u{i:03d}": SimUser(f"u{i:03d}", "Ana", date(1990, 1, 1),
+                                  stationary_trajectory(p), {"p0"}, f"fb{i}")
+             for i, p in enumerate(points)}
+    world = World(users, PageCatalog(5, 2, 1.0, 0),
+                  BoundingBox(lat0, lon0, lat1, lon1), seed=1)
+    return world, draw(st.sampled_from(sorted(users)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(sweeps())
+def test_discover_marks_the_users_a_whole_world_nearby_returns(sweep):
+    world, caller = sweep
+    svc = ProximityService(world, DisclosurePolicy())
+    marked, listed, scanned = (svc.login(caller) for _ in range(3))
+    assert svc.discover(marked) is None
+    svc.nearby(listed, DISCOVER_RADIUS_M)
+    expected = {e.user_id for e in scan_nearby(svc, scanned, DISCOVER_RADIUS_M)}
+    assert marked.discovered == listed.discovered == expected
+    assert expected == set(world.users) - {caller}
 
 
 # -- profile ---------------------------------------------------------------------------

@@ -28,6 +28,11 @@ def make_service(n=15, seed=2, policy=None):
     return world, ProximityService(world, policy or DisclosurePolicy())
 
 
+def send_raw(client, line):
+    """Write ``line`` and a newline to ``client``'s socket, unencoded."""
+    client._sock.sendall((line + "\n").encode("utf-8"))
+
+
 @contextlib.contextmanager
 def running(svc):
     """A server for ``svc`` and the thread running its ``serve_forever``."""
@@ -75,7 +80,7 @@ def test_malformed_line_keeps_connection(server):
     with ServiceClient("127.0.0.1", server.port) as c:
         # Deep nesting used to kill the connection thread without a response.
         for line in ("this is not json", "[" * 50000):
-            c.send_raw(line)
+            send_raw(c, line)
             assert c.read_response() == {"ok": False, "error": "bad_request"}
         # connection still usable
         assert c.login(uid)["ok"] is True
@@ -387,9 +392,9 @@ def test_overlong_line_refused_and_connection_closed(server):
     login = _dump({"op": "login", "token": uid})
     with ServiceClient("127.0.0.1", server.port) as c:
         # Exactly MAX_LINE_BYTES with the newline: still served.
-        c.send_raw(login.ljust(MAX_LINE_BYTES - 1))
+        send_raw(c, login.ljust(MAX_LINE_BYTES - 1))
         assert c.read_response() == {"ok": True, "user_id": uid}
-        c.send_raw(login.ljust(2 * MAX_LINE_BYTES))
+        send_raw(c, login.ljust(2 * MAX_LINE_BYTES))
         assert c.read_response() == {"ok": False, "error": "bad_request"}
         with pytest.raises(ConnectionError):
             c.read_response()
@@ -496,7 +501,7 @@ def test_overlong_line_closes_only_its_connection(serving):
     with ServiceClient("127.0.0.1", srv.port) as c1, \
          ServiceClient("127.0.0.1", srv.port) as c2:
         assert c1.login(ids[0])["ok"] is True
-        c2.send_raw("x" * (MAX_LINE_BYTES + 10))
+        send_raw(c2, "x" * (MAX_LINE_BYTES + 10))
         assert c2.read_response() == {"ok": False, "error": "bad_request"}
         with pytest.raises(ConnectionError):
             c2.read_response()
