@@ -13,7 +13,7 @@ All functions are pure and safe to call concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 EARTH_RADIUS_M = 6_371_008.8
 
@@ -29,6 +29,31 @@ class TangentRangeError(ValueError):
     """Point too far from the reference for the flat-plane conversion."""
 
 
+def _refuse_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def frozen_slots(cls):
+    """``dataclass(frozen=True, slots=True)``: a frozen value class whose
+    instances carry no ``__dict__``.
+
+    ``slots=True`` returns a new class, but the ``__setattr__`` and
+    ``__delattr__`` that ``frozen=True`` generated still test against the
+    old one. CPython 3.10-3.13 then sends an undeclared name on to
+    ``super()`` with the old class, which raises ``TypeError``. Here every
+    assignment and deletion raises ``FrozenInstanceError``, an
+    ``AttributeError``, as on a frozen dataclass without slots.
+    """
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__setattr__ = _refuse_setattr
+    cls.__delattr__ = _refuse_delattr
+    return cls
+
+
 def _normalize_lon(lon_deg: float) -> float:
     lon = math.fmod(lon_deg + 180.0, 360.0)
     if lon < 0.0:
@@ -36,7 +61,7 @@ def _normalize_lon(lon_deg: float) -> float:
     return lon - 180.0
 
 
-@dataclass(frozen=True)
+@frozen_slots
 class GeoPoint:
     """A geodetic position. Longitude is normalized into [-180, 180)."""
 
@@ -51,7 +76,7 @@ class GeoPoint:
         object.__setattr__(self, "lon_deg", _normalize_lon(self.lon_deg))
 
 
-@dataclass(frozen=True)
+@frozen_slots
 class EnuPoint:
     """A local tangent-plane position: meters east (x) / north (y) of ``ref``."""
 

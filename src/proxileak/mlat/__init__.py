@@ -21,7 +21,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from ..geo import EnuPoint
+from ..geo import EnuPoint, frozen_slots
 from ._backend import BACKEND, impl as _impl
 from ._kernels_py import NORM_L1, NORM_L2
 
@@ -54,7 +54,7 @@ def _norm_code(norm: str) -> int:
         raise ValueError(f"norm must be 'l1' or 'l2': {norm!r}") from None
 
 
-@dataclass(frozen=True)
+@frozen_slots
 class DistanceSample:
     """One observation: where the observer stood, what distance was reported.
 
@@ -105,7 +105,7 @@ class SolverConfig:
         return _norm_code(self.norm)
 
 
-@dataclass(frozen=True)
+@frozen_slots
 class PositionEstimate:
     p_hat: EnuPoint
     residual: float

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .geo import frozen_slots
 from .mlat import DistanceSample, PositionEstimate
 
 __all__ = [
@@ -49,7 +51,7 @@ DEFAULT_EVENT_LABELS: dict[str, tuple[tuple[str, str], ...]] = {
 INTRUSION_LABEL = ("Invasion", "Intrusion of someone's private life")
 
 
-@dataclass(frozen=True)
+@frozen_slots
 class TraceEvent:
     kind: str
     t: float
@@ -151,21 +153,23 @@ class _Scale:
         return v * self.sx
 
 
-def _write(path: Path, text: str) -> Path:
+def _write(path: Path, chunks: Iterable[str]) -> Path:
+    """Write ``chunks`` to ``path`` one after another, as UTF-8 with
+    ``\\n`` line ends."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8", newline="\n")
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.writelines(chunks)
     return path
 
 
 def write_csv(path: Path, header: Sequence[str],
               rows: Iterable[Sequence]) -> Path:
-    """The header, then one comma-joined line per row. A float cell is
-    written as ``repr`` (it parses back bit for bit), any other cell as
-    ``str``."""
-    lines = [",".join(header)]
-    lines += [",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
-              for row in rows]
-    return _write(path, "\n".join(lines) + "\n")
+    """The header, then one comma-joined line per row, written as the rows
+    come. A float cell is written as ``repr`` (it parses back bit for bit),
+    any other cell as ``str``."""
+    lines = (",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
+             + "\n" for row in rows)
+    return _write(path, chain((",".join(header) + "\n",), lines))
 
 
 def write_runtime_grid(rows: list[tuple[int, int, float]], out_dir: Path) -> None:
@@ -185,7 +189,7 @@ def write_runtime_grid(rows: list[tuple[int, int, float]], out_dir: Path) -> Non
                        for it, sec in sorted(by_samples[n]))
         elements.append(f'<polyline id="series-s{n}" points="{pts}" '
                         f'fill="none" stroke="black"/>')
-    _write(out_dir / "runtime_grid.svg", _svg(elements))
+    _write(out_dir / "runtime_grid.svg", (_svg(elements),))
 
 
 def write_probe_map(samples: list[DistanceSample], estimate: PositionEstimate,
@@ -215,7 +219,7 @@ def write_probe_map(samples: list[DistanceSample], estimate: PositionEstimate,
     elements.append(f'<circle id="estimate-marker" '
                     f'cx="{sc.x(estimate.p_hat.x_m):.2f}" '
                     f'cy="{sc.y(estimate.p_hat.y_m):.2f}" r="4" fill="red"/>')
-    _write(out_dir / "probe_map.svg", _svg(elements))
+    _write(out_dir / "probe_map.svg", (_svg(elements),))
 
 
 def write_pool_curve(pool_rows: list[tuple[str, int, int]], out_dir: Path) -> None:
@@ -236,7 +240,7 @@ def write_pool_curve(pool_rows: list[tuple[str, int, int]], out_dir: Path) -> No
                    for r, m in medians)
     elements = _axes() + [f'<polyline id="pool-curve" points="{pts}" '
                           f'fill="none" stroke="black"/>']
-    _write(out_dir / "pool_sizes.svg", _svg(elements))
+    _write(out_dir / "pool_sizes.svg", (_svg(elements),))
 
 
 def write_error_vs_quantum(rows: list[tuple[float, float, float, int]],
@@ -249,7 +253,7 @@ def write_error_vs_quantum(rows: list[tuple[float, float, float, int]],
     pts = " ".join(f"{sc.x(q):.2f},{sc.y(med):.2f}" for q, med, *_ in rows)
     elements = _axes() + [f'<polyline id="error-curve" points="{pts}" '
                           f'fill="none" stroke="black"/>']
-    _write(out_dir / "error_vs_quantum.svg", _svg(elements))
+    _write(out_dir / "error_vs_quantum.svg", (_svg(elements),))
 
 
 def emit(out_dir: Path, trace: AttackTrace) -> None:

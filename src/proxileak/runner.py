@@ -133,7 +133,7 @@ def _open_attack(cfg: ScenarioConfig, seed: int,
 def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> RunResult:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    report._write(out / "manifest.cfg", render_manifest(cfg))
+    report._write(out / "manifest.cfg", (render_manifest(cfg),))
     if cfg.attack == "localize":
         metrics = _run_localize(cfg, out)
     elif cfg.attack == "track":

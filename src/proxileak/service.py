@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from datetime import date
 
-from .geo import GeoPoint, haversine_m
+from .geo import GeoPoint, frozen_slots, haversine_m
 from .world import (DisclosurePolicy, World, fuzz_birthdate, gc_paused,
                     quantize_distance)
 
@@ -36,7 +36,7 @@ class RateError(ValueError):
     """Location update rejected by the teleport limit."""
 
 
-@dataclass(frozen=True)
+@frozen_slots
 class NearbyEntry:
     """One policy-filtered view of another user.
 

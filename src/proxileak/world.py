@@ -17,7 +17,8 @@ import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date, timedelta
-from itertools import islice
+from itertools import islice, pairwise
+from operator import itemgetter
 from typing import Iterable
 
 from .geo import (EARTH_RADIUS_M, CoordinateError, EnuPoint, GeoPoint,
@@ -193,18 +194,18 @@ class Trajectory:
     that waypoint's position, so it is defined at every time.
     """
 
+    __slots__ = ("waypoints",)
+
     def __init__(self, waypoints: list[tuple[float, GeoPoint]]):
         if not waypoints:
             raise ValueError("trajectory needs at least one waypoint")
-        times = [t for t, _ in waypoints]
-        for a, b in zip(times, times[1:]):
+        for (a, _), (b, _) in pairwise(waypoints):
             if b <= a:
                 raise ValueError("waypoint timestamps must be strictly increasing")
         self.waypoints = list(waypoints)
-        self._times = times
 
     def position_at(self, t: float) -> GeoPoint:
-        i = bisect.bisect_right(self._times, t) - 1
+        i = bisect.bisect_right(self.waypoints, t, key=itemgetter(0)) - 1
         if i < 0:
             return self.waypoints[0][1]
         if i >= len(self.waypoints) - 1:
@@ -245,7 +246,7 @@ def random_walk_trajectory(start: GeoPoint, step_m: float, interval_s: float,
     return Trajectory(waypoints)
 
 
-@dataclass
+@dataclass(slots=True)
 class SimUser:
     user_id: str
     first_name: str

@@ -14,7 +14,9 @@ lookups locally; they share only the unchanged draw helpers with the package.
 solver kernel as it was before it scored a whole compass ring per pass:
 one pass over the samples per candidate point. ``scan_extract_pois`` is
 ``extract_pois`` as it was before windows kept a bounding box: every
-extension re-checks every fix of the window.
+extension re-checks every fix of the window. ``times_position_at`` is
+``Trajectory.position_at`` as it was when a trajectory kept a second list
+of its waypoint times.
 """
 
 import bisect
@@ -27,7 +29,7 @@ from math import fabs, sqrt
 import numpy as np
 
 from proxileak.attacker import Poi
-from proxileak.geo import EnuPoint, GeoPoint, haversine_m
+from proxileak.geo import EnuPoint, GeoPoint, from_enu, haversine_m, to_enu
 from proxileak.socialgraph import IdentificationResult, candidate_birth_years
 from proxileak.world import (BIRTH_RANGE, FIRST_NAMES, MAX_DRAWS_PER_LIKE,
                              MAX_LIKES_PER_USER, _bounded_geometric,
@@ -158,6 +160,24 @@ def scan_nearby(service, session, radius_m):
         session.discovered.add(uid)
         out.append(service._render(requester, user, qd))
     return out
+
+
+def times_position_at(waypoints, t):
+    """The position at ``t`` on the ``(time, GeoPoint)`` waypoints, found by
+    bisecting a separate list of their times."""
+    times = [wt for wt, _ in waypoints]
+    i = bisect.bisect_right(times, t) - 1
+    if i < 0:
+        return waypoints[0][1]
+    if i >= len(waypoints) - 1:
+        return waypoints[-1][1]
+    ta, pa = waypoints[i]
+    tb, pb = waypoints[i + 1]
+    if t == ta:
+        return pa
+    frac = (t - ta) / (tb - ta)
+    leg = to_enu(pb, pa)
+    return from_enu(EnuPoint(frac * leg.x_m, frac * leg.y_m, pa))
 
 
 def brute_matching(population, q):

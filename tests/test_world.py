@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from oracles import oracle_population, oracle_sample_likes
+from oracles import oracle_population, oracle_sample_likes, times_position_at
 from proxileak.geo import EARTH_RADIUS_M, CoordinateError, GeoPoint, haversine_m
 from proxileak.world import (DEFAULT_BBOX, MAX_LIKES_PER_USER, BoundingBox,
                              DisclosurePolicy, POLICY_PRESETS, PageCatalog,
@@ -210,6 +210,49 @@ def test_trajectory_holds_its_ends(bcn):
         assert traj.position_at(t) == b
     with pytest.raises(ValueError):
         Trajectory([(1.0, bcn), (1.0, bcn)])
+
+
+@st.composite
+def trajectories_and_queries(draw):
+    times = sorted(draw(st.lists(st.floats(-1e7, 1e7), min_size=1, max_size=50,
+                                 unique=True)))
+    lat, lon = draw(st.floats(-80.0, 80.0)), draw(st.floats(-180.0, 180.0))
+    near = st.tuples(st.floats(lat - 0.3, lat + 0.3), st.floats(lon - 0.3, lon + 0.3))
+    waypoints = [(t, GeoPoint(*draw(near))) for t in times]
+    gap = st.floats(1e-6, 1e6)
+    queries = [times[0] - draw(gap), -math.inf, times[-1] + draw(gap), math.inf]
+    queries += draw(st.lists(st.sampled_from(times), min_size=1, max_size=5))
+    for _ in range(draw(st.integers(0, 5)) if len(times) > 1 else 0):
+        k = draw(st.integers(0, len(times) - 2))
+        frac = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+        queries.append(times[k] + frac * (times[k + 1] - times[k]))
+    return waypoints, queries
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(trajectories_and_queries())
+def test_position_at_matches_a_bisect_over_a_list_of_times(case):
+    waypoints, queries = case
+    traj = Trajectory(waypoints)
+    assert traj.waypoints == waypoints
+    for t in queries:
+        assert traj.position_at(t) == times_position_at(waypoints, t), t
+    # A waypoint's own position comes back, not a round trip through the plane.
+    for t, p in waypoints:
+        assert traj.position_at(t) is p
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(trajectories_and_queries(), st.data())
+def test_trajectory_rejects_times_that_do_not_increase(case, data):
+    waypoints, _ = case
+    # Insert, after waypoint k - 1, one whose time repeats or precedes it.
+    k = data.draw(st.integers(1, len(waypoints)))
+    prev = waypoints[k - 1][0]
+    t = data.draw(st.one_of(st.just(prev), st.floats(-2e7, prev)))
+    bad = waypoints[:k] + [(t, waypoints[k - 1][1])] + waypoints[k:]
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Trajectory(bad)
 
 
 def test_commuter_dwells(bcn):
