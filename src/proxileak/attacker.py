@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field, replace
 from typing import Callable
 
-from .geo import EnuPoint, GeoPoint, from_enu, to_enu
+from .geo import EnuPoint, Frozen, GeoPoint, _set, from_enu, to_enu
 from .mlat import (DegenerateGeometryError, DistanceSample, PositionEstimate,
                    SolverConfig, UnderdeterminedError, multilaterate)
 from .report import AttackTrace, TraceEvent
@@ -41,8 +40,7 @@ class PolicyBlockedError(RuntimeError):
     """The service does not disclose what this attack needs."""
 
 
-@dataclass(frozen=True)
-class ProbePlan:
+class ProbePlan(Frozen):
     """Where the attacker stands while sampling the target's distance.
 
     ``ring`` places ``count`` equally spaced probes on a circle around
@@ -51,21 +49,24 @@ class ProbePlan:
     radius on the running estimate.
     """
 
-    strategy: str = "ring"
-    count: int = 16
-    ring_radius_m: float = 1000.0
-    center: GeoPoint | None = None
-    angle0_rad: float = 0.0
+    __slots__ = ("strategy", "count", "ring_radius_m", "center", "angle0_rad")
 
-    def __post_init__(self) -> None:
-        if self.strategy not in PROBE_STRATEGIES:
-            raise ValueError(f"unknown probe strategy {self.strategy!r}")
-        if self.count < 3:
+    def __init__(self, strategy: str = "ring", count: int = 16,
+                 ring_radius_m: float = 1000.0, center: GeoPoint | None = None,
+                 angle0_rad: float = 0.0) -> None:
+        if strategy not in PROBE_STRATEGIES:
+            raise ValueError(f"unknown probe strategy {strategy!r}")
+        if count < 3:
             raise ValueError("localization plans need at least 3 probes")
-        if self.center is None:
+        if center is None:
             raise ValueError("ring plans need a center")
-        if self.ring_radius_m <= 0.0:
+        if ring_radius_m <= 0.0:
             raise ValueError("ring radius must be > 0")
+        _set(self, "strategy", strategy)
+        _set(self, "count", count)
+        _set(self, "ring_radius_m", ring_radius_m)
+        _set(self, "center", center)
+        _set(self, "angle0_rad", angle0_rad)
 
 
 def ring_points(center: GeoPoint, radius_m: float, count: int,
@@ -78,19 +79,29 @@ def ring_points(center: GeoPoint, radius_m: float, count: int,
     return out
 
 
-@dataclass(frozen=True)
-class Poi:
-    center: EnuPoint
-    dwell_s: float
-    t_start: float
-    t_end: float
-    n_fixes: int
+class Poi(Frozen):
+    __slots__ = ("center", "dwell_s", "t_start", "t_end", "n_fixes")
+
+    def __init__(self, center: EnuPoint, dwell_s: float, t_start: float,
+                 t_end: float, n_fixes: int) -> None:
+        _set(self, "center", center)
+        _set(self, "dwell_s", dwell_s)
+        _set(self, "t_start", t_start)
+        _set(self, "t_end", t_end)
+        _set(self, "n_fixes", n_fixes)
 
 
-@dataclass
 class TrackRecord:
-    estimates: list[tuple[float, PositionEstimate]] = field(default_factory=list)
-    gaps: list[float] = field(default_factory=list)
+    def __init__(self,
+                 estimates: list[tuple[float, PositionEstimate]] | None = None,
+                 gaps: list[float] | None = None):
+        self.estimates = [] if estimates is None else estimates
+        self.gaps = [] if gaps is None else gaps
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.estimates, self.gaps) == (other.estimates, other.gaps)
+        return NotImplemented
 
     def add(self, t: float, est: PositionEstimate) -> None:
         if self.estimates and t <= self.estimates[-1][0]:
@@ -211,7 +222,9 @@ class Attacker:
                 record.gaps.append(k * interval_s)
                 continue
             record.add(self.last_samples[-1].t, est)
-            current = replace(current, center=from_enu(est.p_hat))
+            current = ProbePlan(current.strategy, current.count,
+                                current.ring_radius_m, from_enu(est.p_hat),
+                                current.angle0_rad)
         return record
 
 

@@ -61,7 +61,6 @@ Keys (defaults in parentheses):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .attacker import PROBE_STRATEGIES
@@ -70,7 +69,7 @@ from .mlat import SOLVER_NORMS
 from .world import (BIRTHDATE_MODES, INTERESTS_MODES, POLICY_PRESETS,
                     BoundingBox, DisclosurePolicy)
 
-__all__ = ["ConfigError", "ScenarioConfig", "parse_scenario",
+__all__ = ["ConfigError", "KEYS", "ScenarioConfig", "parse_scenario",
            "parse_scenario_text", "render_manifest",
            "convert_value", "validate", "POLICY_FIELDS", "SWEEPABLE_PARAMS"]
 
@@ -120,114 +119,140 @@ def _bbox(raw: str) -> tuple[float, float, float, float]:
     return tuple(float(p) for p in parts)  # type: ignore[return-value]
 
 
-# Field annotation (a string under postponed evaluation) -> text parser.
-_BBOX = "tuple[float, float, float, float]"
-_PARSERS = {"int": int, "float": _float, "bool": _bool, _BBOX: _bbox}
+_PARSERS = {"int": int, "float": _float, "bool": _bool, "bbox": _bbox}
 
 
-def _key(default, *, choices: tuple[str, ...] = (), ge=None, gt=None,
-         lt=None, allow_inf: bool = False):
-    """A config key's default and constraint; the annotation gives its type.
+class Key:
+    """One config key: its type, its default and its constraint.
 
-    ``choices`` lists the accepted strings; ``ge``/``gt``/``lt`` bound a
+    ``type`` is ``int``, ``float``, ``bool``, ``bbox`` or ``str``; a ``str``
+    key accepts exactly its ``choices``. ``ge``/``gt``/``lt`` bound a
     number; float keys must be finite unless ``allow_inf``.
     """
-    return field(default=default, metadata={"choices": choices, "ge": ge,
-                                            "gt": gt, "lt": lt,
-                                            "allow_inf": allow_inf})
+
+    __slots__ = ("type", "default", "choices", "ge", "gt", "lt", "allow_inf")
+
+    def __init__(self, type: str, default=None, *,
+                 choices: tuple[str, ...] = (), ge=None, gt=None, lt=None,
+                 allow_inf: bool = False):
+        self.type = type
+        self.default = default
+        self.choices = choices
+        self.ge = ge
+        self.gt = gt
+        self.lt = lt
+        self.allow_inf = allow_inf
+
+    def check(self, v) -> None:
+        """Raise ``ValueError`` unless ``v`` meets this key's bounds."""
+        if self.ge is not None and not v >= self.ge:
+            raise ValueError(f"must be >= {self.ge}, got {v!r}")
+        if self.gt is not None and not v > self.gt:
+            raise ValueError(f"must be > {self.gt}, got {v!r}")
+        if self.lt is not None and not v < self.lt:
+            raise ValueError(f"must be < {self.lt}, got {v!r}")
+        if self.type == "float" and not (math.isfinite(v) or self.allow_inf):
+            raise ValueError(f"must be finite, got {v!r}")
 
 
-@dataclass
+# Every key, in the order validate checks them; seed has no default.
+KEYS: dict[str, Key] = {
+    "seed": Key("int"),
+    "attack": Key("str", "localize",
+                  choices=("localize", "track", "identify")),
+    "bbox": Key("bbox", (41.35, 2.10, 41.45, 2.25)),
+    "n_users": Key("int", 25, ge=1),
+    "catalog_size": Key("int", 1000, ge=1),
+    "zipf_s": Key("float", 1.0, gt=0),
+    "mean_likes": Key("float", 3.0, ge=0),
+    "n_categories": Key("int", 25, ge=1),
+    "policy_preset": Key("str", "custom",
+                         choices=(*POLICY_PRESETS, "custom")),
+    "share_distance": Key("bool", True),
+    "distance_quantum_m": Key("float", 100.0, ge=0),
+    "share_first_name": Key("bool", True),
+    "birthdate_mode": Key("str", "fuzzy_15d", choices=BIRTHDATE_MODES),
+    "interests_mode": Key("str", "pages", choices=INTERESTS_MODES),
+    "share_social_id": Key("bool", False),
+    "teleport_limit_m": Key("float", math.inf, gt=0, allow_inf=True),
+    "teleport_cooldown_s": Key("float", math.inf, ge=0, allow_inf=True),
+    "trajectory": Key("str", "stationary",
+                      choices=("stationary", "commuter", "random_walk")),
+    "commute_distance_m": Key("float", 5000.0, gt=0, lt=MAX_TANGENT_RANGE_M),
+    "dwell_home_s": Key("float", 28_800.0, gt=0),
+    "dwell_work_s": Key("float", 28_800.0, gt=0),
+    "travel_s": Key("float", 1800.0, gt=0),
+    "walk_step_m": Key("float", 500.0, gt=0, lt=MAX_TANGENT_RANGE_M),
+    "walk_interval_s": Key("float", 600.0, gt=0),
+    "trials": Key("int", 1, ge=1),
+    "probe_strategy": Key("str", "ring", choices=PROBE_STRATEGIES),
+    "probe_count": Key("int", 16, ge=3),
+    "ring_radius_m": Key("float", 1000.0, gt=0, lt=MAX_TANGENT_RANGE_M),
+    "probe_center_offset_m": Key("float", 250.0, ge=0,
+                                 lt=MAX_TANGENT_RANGE_M),
+    "solver_norm": Key("str", "l1", choices=tuple(SOLVER_NORMS)),
+    "solver_max_iterations": Key("int", 200, ge=1),
+    "solver_step_init_m": Key("float", 500.0, gt=0),
+    "solver_tol_m": Key("float", 0.01, gt=0),
+    "track_interval_s": Key("float", 3600.0, gt=0),
+    "track_duration_s": Key("float", 57_600.0, ge=0, lt=366 * 86_400.0),
+    "poi_radius_m": Key("float", 200.0, gt=0),
+    "poi_min_dwell_s": Key("float", 7200.0, ge=0),
+    "identify_max_rounds": Key("int", 10, ge=1),
+    "identify_batch_size": Key("int", 10, ge=1),
+    "identify_victims": Key("int", 10, ge=1),
+    "attacker_top_likes": Key("int", 10, ge=0),
+}
+
+
 class ScenarioConfig:
-    seed: int
-    attack: str = _key("localize", choices=("localize", "track", "identify"))
-    bbox: tuple[float, float, float, float] = (41.35, 2.10, 41.45, 2.25)
-    n_users: int = _key(25, ge=1)
-    catalog_size: int = _key(1000, ge=1)
-    zipf_s: float = _key(1.0, gt=0)
-    mean_likes: float = _key(3.0, ge=0)
-    n_categories: int = _key(25, ge=1)
-    policy_preset: str = _key("custom", choices=(*POLICY_PRESETS, "custom"))
-    share_distance: bool = True
-    distance_quantum_m: float = _key(100.0, ge=0)
-    share_first_name: bool = True
-    birthdate_mode: str = _key("fuzzy_15d", choices=BIRTHDATE_MODES)
-    interests_mode: str = _key("pages", choices=INTERESTS_MODES)
-    share_social_id: bool = False
-    teleport_limit_m: float = _key(math.inf, gt=0, allow_inf=True)
-    teleport_cooldown_s: float = _key(math.inf, ge=0, allow_inf=True)
-    trajectory: str = _key("stationary",
-                           choices=("stationary", "commuter", "random_walk"))
-    commute_distance_m: float = _key(5000.0, gt=0, lt=MAX_TANGENT_RANGE_M)
-    dwell_home_s: float = _key(28_800.0, gt=0)
-    dwell_work_s: float = _key(28_800.0, gt=0)
-    travel_s: float = _key(1800.0, gt=0)
-    walk_step_m: float = _key(500.0, gt=0, lt=MAX_TANGENT_RANGE_M)
-    walk_interval_s: float = _key(600.0, gt=0)
-    trials: int = _key(1, ge=1)
-    probe_strategy: str = _key("ring", choices=PROBE_STRATEGIES)
-    probe_count: int = _key(16, ge=3)
-    ring_radius_m: float = _key(1000.0, gt=0, lt=MAX_TANGENT_RANGE_M)
-    probe_center_offset_m: float = _key(250.0, ge=0, lt=MAX_TANGENT_RANGE_M)
-    solver_norm: str = _key("l1", choices=tuple(SOLVER_NORMS))
-    solver_max_iterations: int = _key(200, ge=1)
-    solver_step_init_m: float = _key(500.0, gt=0)
-    solver_tol_m: float = _key(0.01, gt=0)
-    track_interval_s: float = _key(3600.0, gt=0)
-    track_duration_s: float = _key(57_600.0, ge=0, lt=366 * 86_400.0)
-    poi_radius_m: float = _key(200.0, gt=0)
-    poi_min_dwell_s: float = _key(7200.0, ge=0)
-    identify_max_rounds: int = _key(10, ge=1)
-    identify_batch_size: int = _key(10, ge=1)
-    identify_victims: int = _key(10, ge=1)
-    attacker_top_likes: int = _key(10, ge=0)
+    """One attribute per key of ``KEYS``; keys not given take their default."""
+
+    def __init__(self, seed: int, **values):
+        self.seed = seed
+        for name, key in KEYS.items():
+            if name != "seed":
+                setattr(self, name, values.pop(name, key.default))
+        if values:
+            raise TypeError(f"unknown config keys: {', '.join(sorted(values))}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return vars(self) == vars(other)
+        return NotImplemented
 
 
-_FIELDS = {f.name: f for f in fields(ScenarioConfig)}
-
-POLICY_FIELDS = tuple(f.name for f in fields(DisclosurePolicy))
+POLICY_FIELDS = DisclosurePolicy.__slots__
 
 
 def convert_value(key: str, raw: str, line: int | None = None):
     """Parse one raw string value for a known config key."""
-    f = _FIELDS.get(key)
-    if f is None:
+    k = KEYS.get(key)
+    if k is None:
         raise ConfigError(f"unknown key {key!r}", field=key, line=line)
-    choices = f.metadata.get("choices")
     try:
-        if choices:
-            if raw not in choices:
-                raise ValueError(f"must be one of {', '.join(choices)}: {raw!r}")
+        if k.choices:
+            if raw not in k.choices:
+                raise ValueError(f"must be one of {', '.join(k.choices)}: {raw!r}")
             return raw
-        return _PARSERS[f.type](raw)
+        return _PARSERS[k.type](raw)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc), field=key, line=line) from None
 
 
-def _check(f, v) -> None:
-    ge, gt, lt = f.metadata.get("ge"), f.metadata.get("gt"), f.metadata.get("lt")
-    if ge is not None and not v >= ge:
-        raise ValueError(f"must be >= {ge}, got {v!r}")
-    if gt is not None and not v > gt:
-        raise ValueError(f"must be > {gt}, got {v!r}")
-    if lt is not None and not v < lt:
-        raise ValueError(f"must be < {lt}, got {v!r}")
-    if f.type == "float" and not (math.isfinite(v) or f.metadata.get("allow_inf")):
-        raise ValueError(f"must be finite, got {v!r}")
-    if f.type == _BBOX:
-        BoundingBox(*v)
-    if f.name == "distance_quantum_m":
-        DisclosurePolicy(distance_quantum_m=v)
-
-
 def validate(cfg: ScenarioConfig) -> ScenarioConfig:
-    """Check every key's constraint in field order, then the step count of
-    the track and of the walk; the first failure raises."""
-    for f in fields(cfg):
+    """Check every key's constraint in ``KEYS`` order, then the step count
+    of the track and of the walk; the first failure raises."""
+    for name, key in KEYS.items():
+        v = getattr(cfg, name)
         try:
-            _check(f, getattr(cfg, f.name))
+            key.check(v)
+            if key.type == "bbox":
+                BoundingBox(*v)
+            if name == "distance_quantum_m":
+                DisclosurePolicy(distance_quantum_m=v)
         except ValueError as exc:
-            raise ConfigError(str(exc), field=f.name) from None
+            raise ConfigError(str(exc), field=name) from None
     for key in ("walk_interval_s", "track_interval_s"):
         steps = cfg.track_duration_s / getattr(cfg, key)
         if not steps <= MAX_TRACK_STEPS:
@@ -276,13 +301,13 @@ def parse_scenario_text(text: str, overrides: dict[str, str] | None = None
 def render_manifest(cfg: ScenarioConfig) -> str:
     """The fully resolved configuration, one sorted ``key = value`` per line."""
     lines = []
-    for f in sorted(fields(ScenarioConfig), key=lambda f: f.name):
-        v = getattr(cfg, f.name)
+    for name in sorted(KEYS):
+        v = getattr(cfg, name)
         if isinstance(v, tuple):
             v = ",".join(repr(float(x)) for x in v)
         elif isinstance(v, bool):
             v = "true" if v else "false"
         elif isinstance(v, float):
             v = repr(v)
-        lines.append(f"{f.name} = {v}")
+        lines.append(f"{name} = {v}")
     return "\n".join(lines) + "\n"

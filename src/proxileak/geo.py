@@ -13,7 +13,7 @@ All functions are pure and safe to call concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from operator import attrgetter
 
 EARTH_RADIUS_M = 6_371_008.8
 
@@ -29,29 +29,54 @@ class TangentRangeError(ValueError):
     """Point too far from the reference for the flat-plane conversion."""
 
 
-def _refuse_setattr(self, name, value):
-    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+_set = object.__setattr__
 
 
-def _refuse_delattr(self, name):
-    raise FrozenInstanceError(f"cannot delete field {name!r}")
+class Frozen:
+    """Base of the immutable value classes.
 
-
-def frozen_slots(cls):
-    """``dataclass(frozen=True, slots=True)``: a frozen value class whose
-    instances carry no ``__dict__``.
-
-    ``slots=True`` returns a new class, but the ``__setattr__`` and
-    ``__delattr__`` that ``frozen=True`` generated still test against the
-    old one. CPython 3.10-3.13 then sends an undeclared name on to
-    ``super()`` with the old class, which raises ``TypeError``. Here every
-    assignment and deletion raises ``FrozenInstanceError``, an
-    ``AttributeError``, as on a frozen dataclass without slots.
+    A subclass names its fields, in order, as ``__slots__`` and sets them
+    in ``__init__`` with ``object.__setattr__``. Its instances equal those
+    of the same class whose fields are equal, hash as the tuple of their
+    fields, print as ``Name(field=value, ...)`` and refuse any assignment
+    or deletion with ``AttributeError``. Pickling and copying restore the
+    fields as they were, without running ``__init__`` again.
     """
-    cls = dataclass(frozen=True, slots=True)(cls)
-    cls.__setattr__ = _refuse_setattr
-    cls.__delattr__ = _refuse_delattr
-    return cls
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        get = attrgetter(*cls.__slots__)
+        # The field tuple; attrgetter of one name returns the bare value.
+        cls._values = property(get if len(cls.__slots__) > 1
+                               else lambda self: (get(self),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self.__slots__, self._values))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> tuple:
+        return self._values
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in zip(self.__slots__, state):
+            _set(self, name, value)
 
 
 def _normalize_lon(lon_deg: float) -> float:
@@ -61,28 +86,29 @@ def _normalize_lon(lon_deg: float) -> float:
     return lon - 180.0
 
 
-@frozen_slots
-class GeoPoint:
+class GeoPoint(Frozen):
     """A geodetic position. Longitude is normalized into [-180, 180)."""
 
-    lat_deg: float
-    lon_deg: float
+    __slots__ = ("lat_deg", "lon_deg")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lat_deg) and -90.0 <= self.lat_deg <= 90.0):
-            raise CoordinateError(f"latitude out of range [-90, 90]: {self.lat_deg!r}")
-        if not math.isfinite(self.lon_deg):
-            raise CoordinateError(f"longitude must be finite: {self.lon_deg!r}")
-        object.__setattr__(self, "lon_deg", _normalize_lon(self.lon_deg))
+    def __init__(self, lat_deg: float, lon_deg: float) -> None:
+        if not (math.isfinite(lat_deg) and -90.0 <= lat_deg <= 90.0):
+            raise CoordinateError(f"latitude out of range [-90, 90]: {lat_deg!r}")
+        if not math.isfinite(lon_deg):
+            raise CoordinateError(f"longitude must be finite: {lon_deg!r}")
+        _set(self, "lat_deg", lat_deg)
+        _set(self, "lon_deg", _normalize_lon(lon_deg))
 
 
-@frozen_slots
-class EnuPoint:
+class EnuPoint(Frozen):
     """A local tangent-plane position: meters east (x) / north (y) of ``ref``."""
 
-    x_m: float
-    y_m: float
-    ref: GeoPoint
+    __slots__ = ("x_m", "y_m", "ref")
+
+    def __init__(self, x_m: float, y_m: float, ref: GeoPoint) -> None:
+        _set(self, "x_m", x_m)
+        _set(self, "y_m", y_m)
+        _set(self, "ref", ref)
 
 
 def _wrap_delta_lon(dl: float) -> float:

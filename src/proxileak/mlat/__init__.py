@@ -18,10 +18,9 @@ import math
 import random
 import time
 from array import array
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from ..geo import EnuPoint, frozen_slots
+from ..geo import EnuPoint, Frozen, _set
 from ._backend import BACKEND, impl as _impl
 from ._kernels_py import NORM_L1, NORM_L2
 
@@ -54,62 +53,68 @@ def _norm_code(norm: str) -> int:
         raise ValueError(f"norm must be 'l1' or 'l2': {norm!r}") from None
 
 
-@frozen_slots
-class DistanceSample:
+class DistanceSample(Frozen):
     """One observation: where the observer stood, what distance was reported.
 
     ``quantum_m`` is the service-side quantization step that produced
     ``reported_m`` (0 means the distance is exact).
     """
 
-    observer: EnuPoint
-    reported_m: float
-    t: float
-    quantum_m: float = 0.0
+    __slots__ = ("observer", "reported_m", "t", "quantum_m")
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.reported_m < math.inf:
-            raise ValueError(
-                f"reported_m must be finite and >= 0: {self.reported_m!r}")
-        if not 0.0 <= self.quantum_m < math.inf:
-            raise ValueError(
-                f"quantum_m must be finite and >= 0: {self.quantum_m!r}")
-        if self.quantum_m > 0.0:
-            steps = self.reported_m / self.quantum_m
+    def __init__(self, observer: EnuPoint, reported_m: float, t: float,
+                 quantum_m: float = 0.0) -> None:
+        if not 0.0 <= reported_m < math.inf:
+            raise ValueError(f"reported_m must be finite and >= 0: {reported_m!r}")
+        if not 0.0 <= quantum_m < math.inf:
+            raise ValueError(f"quantum_m must be finite and >= 0: {quantum_m!r}")
+        if quantum_m > 0.0:
+            steps = reported_m / quantum_m
             if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
                 raise ValueError(
-                    f"reported_m {self.reported_m!r} is not a multiple "
-                    f"of quantum_m {self.quantum_m!r}")
+                    f"reported_m {reported_m!r} is not a multiple "
+                    f"of quantum_m {quantum_m!r}")
+        _set(self, "observer", observer)
+        _set(self, "reported_m", reported_m)
+        _set(self, "t", t)
+        _set(self, "quantum_m", quantum_m)
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    norm: str = "l1"  # "l1" (mean absolute) or "l2" (mean squared)
-    max_iterations: int = 200
-    step_init_m: float = 500.0
-    tol_m: float = 0.01
-    seed: int = 0
+class SolverConfig(Frozen):
+    """``norm`` is "l1" (mean absolute) or "l2" (mean squared residual)."""
 
-    def __post_init__(self) -> None:
-        _norm_code(self.norm)
-        if self.max_iterations < 1:
+    __slots__ = ("norm", "max_iterations", "step_init_m", "tol_m", "seed")
+
+    def __init__(self, norm: str = "l1", max_iterations: int = 200,
+                 step_init_m: float = 500.0, tol_m: float = 0.01,
+                 seed: int = 0) -> None:
+        _norm_code(norm)
+        if max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not 0.0 < self.tol_m < math.inf:
-            raise ValueError(f"tol_m must be finite and > 0: {self.tol_m!r}")
-        if not 0.0 < self.step_init_m < math.inf:
+        if not 0.0 < tol_m < math.inf:
+            raise ValueError(f"tol_m must be finite and > 0: {tol_m!r}")
+        if not 0.0 < step_init_m < math.inf:
             raise ValueError(
-                f"step_init_m must be finite and > 0: {self.step_init_m!r}")
+                f"step_init_m must be finite and > 0: {step_init_m!r}")
+        _set(self, "norm", norm)
+        _set(self, "max_iterations", max_iterations)
+        _set(self, "step_init_m", step_init_m)
+        _set(self, "tol_m", tol_m)
+        _set(self, "seed", seed)
 
     @property
     def norm_code(self) -> int:
         return _norm_code(self.norm)
 
 
-@frozen_slots
-class PositionEstimate:
-    p_hat: EnuPoint
-    residual: float
-    iterations_used: int
+class PositionEstimate(Frozen):
+    __slots__ = ("p_hat", "residual", "iterations_used")
+
+    def __init__(self, p_hat: EnuPoint, residual: float,
+                 iterations_used: int) -> None:
+        _set(self, "p_hat", p_hat)
+        _set(self, "residual", residual)
+        _set(self, "iterations_used", iterations_used)
 
 
 def backend_name() -> str:

@@ -13,12 +13,11 @@ Every CSV goes through ``write_csv``, every file through ``_write``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .geo import frozen_slots
+from .geo import Frozen, _set
 from .mlat import DistanceSample, PositionEstimate
 
 __all__ = [
@@ -51,15 +50,15 @@ DEFAULT_EVENT_LABELS: dict[str, tuple[tuple[str, str], ...]] = {
 INTRUSION_LABEL = ("Invasion", "Intrusion of someone's private life")
 
 
-@frozen_slots
-class TraceEvent:
-    kind: str
-    t: float
-    target_id: str | None = None
+class TraceEvent(Frozen):
+    __slots__ = ("kind", "t", "target_id")
 
-    def __post_init__(self) -> None:
-        if self.kind not in DEFAULT_EVENT_LABELS:
-            raise ValueError(f"unknown trace event kind {self.kind!r}")
+    def __init__(self, kind: str, t: float, target_id: str | None = None) -> None:
+        if kind not in DEFAULT_EVENT_LABELS:
+            raise ValueError(f"unknown trace event kind {kind!r}")
+        _set(self, "kind", kind)
+        _set(self, "t", t)
+        _set(self, "target_id", target_id)
 
 
 class AttackTrace:
@@ -79,11 +78,12 @@ class AttackTrace:
         self.events.append(event)
 
 
-@dataclass
 class ViolationReport:
-    # (event index, event kind, category, activity) per assigned label
-    labels: list[tuple[int, str, str, str]]
-    tallies: dict[tuple[str, str], int]
+    def __init__(self, labels: list[tuple[int, str, str, str]],
+                 tallies: dict[tuple[str, str], int]):
+        # (event index, event kind, category, activity) per assigned label
+        self.labels = labels
+        self.tallies = tallies
 
 
 def classify(trace: AttackTrace) -> ViolationReport:

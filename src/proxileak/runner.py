@@ -1,9 +1,11 @@
 """Scenario execution: build a world from a config, run an attack pipeline,
 emit artifacts.
 
-Every run writes ``manifest.cfg`` (the fully resolved configuration), the
-attack's CSV/SVG artifacts, and the trace's violation classification into
-the output directory. Every artifact is a pure function of (config, seed).
+Every run writes the attack's CSV/SVG artifacts, the trace's violation
+classification, ``summary.csv`` and, last, ``manifest.cfg`` (the fully
+resolved configuration) into the output directory, so a directory without
+a manifest holds a run that did not finish. Every artifact is a pure
+function of (config, seed).
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import math
 import random
 import statistics
-from dataclasses import dataclass, replace
 from datetime import date
 from pathlib import Path
 
@@ -19,8 +20,7 @@ from . import report
 from .attacker import Attacker, ProbePlan, extract_pois
 from .config import (POLICY_FIELDS, SWEEPABLE_PARAMS, ConfigError,
                      ScenarioConfig, convert_value, render_manifest, validate)
-from .geo import (EARTH_RADIUS_M, EnuPoint, GeoPoint, from_enu, haversine_m,
-                  to_enu)
+from .geo import EnuPoint, GeoPoint, from_enu, haversine_m, to_enu
 from .mlat import SolverConfig
 from .report import AttackTrace
 from .service import ProximityService
@@ -35,15 +35,9 @@ __all__ = ["RunResult", "build_policy", "build_service", "build_world",
 ATTACKER_ID = "attacker"
 TARGET_ID = "u00000"
 
-# No great-circle distance exceeds half the circumference, so a nearby
-# query of this radius sees the whole world wherever the bbox lies: the
-# users that the discovery sweep's ProximityService.discover marks.
-DISCOVER_RADIUS_M = math.pi * EARTH_RADIUS_M
-
-
-@dataclass
 class RunResult:
-    metrics: dict[str, float]
+    def __init__(self, metrics: dict[str, float]):
+        self.metrics = metrics
 
 
 def build_policy(cfg: ScenarioConfig) -> DisclosurePolicy:
@@ -133,7 +127,8 @@ def _open_attack(cfg: ScenarioConfig, seed: int,
 def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> RunResult:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    report._write(out / "manifest.cfg", (render_manifest(cfg),))
+    manifest = out / "manifest.cfg"
+    manifest.unlink(missing_ok=True)
     if cfg.attack == "localize":
         metrics = _run_localize(cfg, out)
     elif cfg.attack == "track":
@@ -142,6 +137,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> RunResult:
         metrics = _run_identify(cfg, out)
     report.write_csv(out / "summary.csv", ("metric", "value"),
                      ((k, metrics[k]) for k in sorted(metrics)))
+    report._write(manifest, (render_manifest(cfg),))
     return RunResult(metrics)
 
 
@@ -268,7 +264,7 @@ def run_sweep(cfg: ScenarioConfig, param: str, values: list[str],
         if value in seen:
             raise ConfigError(f"{v!r} repeats {seen[value]!r}", field="--values")
         seen[value] = v
-        jobs.append((validate(replace(cfg, **{param: value})),
+        jobs.append((validate(ScenarioConfig(**{**vars(cfg), param: value})),
                      out / f"{param}={v}"))
     out.mkdir(parents=True, exist_ok=True)
     workers = min(parallel, len(jobs))

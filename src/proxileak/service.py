@@ -11,10 +11,9 @@ respect to location updates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from datetime import date
 
-from .geo import GeoPoint, frozen_slots, haversine_m
+from .geo import Frozen, GeoPoint, _set, haversine_m
 from .world import (DisclosurePolicy, World, fuzz_birthdate, gc_paused,
                     quantize_distance)
 
@@ -36,8 +35,7 @@ class RateError(ValueError):
     """Location update rejected by the teleport limit."""
 
 
-@frozen_slots
-class NearbyEntry:
+class NearbyEntry(Frozen):
     """One policy-filtered view of another user.
 
     Optional fields are ``None`` exactly when the active policy disables
@@ -45,19 +43,28 @@ class NearbyEntry:
     mode and category names under ``categories``.
     """
 
-    user_id: str
-    last_active_t: float
-    first_name: str | None = None
-    distance_m: float | None = None
-    fuzzy_birthdate: date | None = None
-    common_likes: frozenset[str] | None = None
-    social_id: str | None = None
+    __slots__ = ("user_id", "last_active_t", "first_name", "distance_m",
+                 "fuzzy_birthdate", "common_likes", "social_id")
+
+    def __init__(self, user_id: str, last_active_t: float,
+                 first_name: str | None = None,
+                 distance_m: float | None = None,
+                 fuzzy_birthdate: date | None = None,
+                 common_likes: frozenset[str] | None = None,
+                 social_id: str | None = None) -> None:
+        _set(self, "user_id", user_id)
+        _set(self, "last_active_t", last_active_t)
+        _set(self, "first_name", first_name)
+        _set(self, "distance_m", distance_m)
+        _set(self, "fuzzy_birthdate", fuzzy_birthdate)
+        _set(self, "common_likes", common_likes)
+        _set(self, "social_id", social_id)
 
 
-@dataclass
 class Session:
-    user_id: str
-    discovered: set[str]
+    def __init__(self, user_id: str, discovered: set[str]):
+        self.user_id = user_id
+        self.discovered = discovered
 
 
 class ProximityService:

@@ -15,11 +15,11 @@ likes until it collapses to a single account.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from datetime import date, timedelta
 from itertools import chain
 from typing import Callable, Iterable, Iterator
 
+from .geo import Frozen, _set
 from .report import AttackTrace, TraceEvent
 from .service import NearbyEntry
 from .world import FUZZ_WINDOW_DAYS, SimUser
@@ -30,17 +30,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GraphQuery:
+class GraphQuery(Frozen):
     """Conjunctive profile filter; unset fields do not constrain.
 
     ``birth_years`` admits a user born in any of its years. The empty query
     is the documented match-all case.
     """
 
-    name: str | None = None
-    birth_years: frozenset[int] | None = None
-    liked_pages: frozenset[str] = frozenset()
+    __slots__ = ("name", "birth_years", "liked_pages")
+
+    def __init__(self, name: str | None = None,
+                 birth_years: frozenset[int] | None = None,
+                 liked_pages: frozenset[str] = frozenset()) -> None:
+        _set(self, "name", name)
+        _set(self, "birth_years", birth_years)
+        _set(self, "liked_pages", liked_pages)
 
 
 def _matches(user: SimUser, name: str | None, q: GraphQuery) -> bool:
@@ -125,11 +129,11 @@ def candidate_birth_years(disclosed: date, fuzzy: bool) -> frozenset[int]:
                      for d in range(-FUZZ_WINDOW_DAYS, FUZZ_WINDOW_DAYS + 1))
 
 
-@dataclass
 class IdentificationResult:
     """``pools[r]`` holds the candidate social ids after round ``r``."""
 
-    pools: list[frozenset[str]]
+    def __init__(self, pools: list[frozenset[str]]):
+        self.pools = pools
 
     @property
     def pool_sizes(self) -> list[int]:

@@ -15,14 +15,13 @@ import hashlib
 import math
 import random
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from datetime import date, timedelta
 from itertools import islice, pairwise
 from operator import itemgetter
 from typing import Iterable
 
-from .geo import (EARTH_RADIUS_M, CoordinateError, EnuPoint, GeoPoint,
-                  from_enu, to_enu)
+from .geo import (EARTH_RADIUS_M, CoordinateError, EnuPoint, Frozen, GeoPoint,
+                  _set, from_enu, to_enu)
 
 __all__ = [
     "SimUser", "PageCatalog", "DisclosurePolicy", "Trajectory",
@@ -105,22 +104,23 @@ def fuzz_birthdate(true_date: date, user_id: str, seed: int) -> date:
     return true_date + timedelta(days=rng.randint(-FUZZ_WINDOW_DAYS, FUZZ_WINDOW_DAYS))
 
 
-@dataclass(frozen=True)
-class BoundingBox:
-    lat_min: float
-    lon_min: float
-    lat_max: float
-    lon_max: float
+class BoundingBox(Frozen):
+    __slots__ = ("lat_min", "lon_min", "lat_max", "lon_max")
 
-    def __post_init__(self) -> None:
-        for lat in (self.lat_min, self.lat_max):
+    def __init__(self, lat_min: float, lon_min: float, lat_max: float,
+                 lon_max: float) -> None:
+        for lat in (lat_min, lat_max):
             if not -90.0 <= lat <= 90.0:
                 raise CoordinateError(f"latitude out of range [-90, 90]: {lat!r}")
-        for lon in (self.lon_min, self.lon_max):
+        for lon in (lon_min, lon_max):
             if not -180.0 <= lon <= 180.0:
                 raise CoordinateError(f"longitude out of range [-180, 180]: {lon!r}")
-        if not (self.lat_min < self.lat_max and self.lon_min < self.lon_max):
+        if not (lat_min < lat_max and lon_min < lon_max):
             raise ValueError("bounding box must have positive extent")
+        _set(self, "lat_min", lat_min)
+        _set(self, "lon_min", lon_min)
+        _set(self, "lat_max", lat_max)
+        _set(self, "lon_max", lon_max)
 
     @property
     def center(self) -> GeoPoint:
@@ -246,42 +246,52 @@ def random_walk_trajectory(start: GeoPoint, step_m: float, interval_s: float,
     return Trajectory(waypoints)
 
 
-@dataclass(slots=True)
 class SimUser:
-    user_id: str
-    first_name: str
-    true_birthdate: date
-    trajectory: Trajectory
-    likes: set[str]
-    social_id: str
+    __slots__ = ("user_id", "first_name", "true_birthdate", "trajectory",
+                 "likes", "social_id")
+
+    def __init__(self, user_id: str, first_name: str, true_birthdate: date,
+                 trajectory: Trajectory, likes: set[str], social_id: str):
+        self.user_id = user_id
+        self.first_name = first_name
+        self.true_birthdate = true_birthdate
+        self.trajectory = trajectory
+        self.likes = likes
+        self.social_id = social_id
 
 
-@dataclass(frozen=True)
-class DisclosurePolicy:
+class DisclosurePolicy(Frozen):
     """What the service reveals about each user, and how precisely."""
 
-    share_distance: bool = True
-    distance_quantum_m: float = 100.0
-    share_first_name: bool = True
-    birthdate_mode: str = "fuzzy_15d"
-    interests_mode: str = "pages"
-    share_social_id: bool = False
+    __slots__ = ("share_distance", "distance_quantum_m", "share_first_name",
+                 "birthdate_mode", "interests_mode", "share_social_id")
 
-    def __post_init__(self) -> None:
-        if self.birthdate_mode not in BIRTHDATE_MODES:
-            raise ValueError(f"bad birthdate_mode: {self.birthdate_mode!r}")
-        if self.interests_mode not in INTERESTS_MODES:
-            raise ValueError(f"bad interests_mode: {self.interests_mode!r}")
-        if not 0.0 <= self.distance_quantum_m < math.inf:
+    def __init__(self, share_distance: bool = True,
+                 distance_quantum_m: float = 100.0,
+                 share_first_name: bool = True,
+                 birthdate_mode: str = "fuzzy_15d",
+                 interests_mode: str = "pages",
+                 share_social_id: bool = False) -> None:
+        if birthdate_mode not in BIRTHDATE_MODES:
+            raise ValueError(f"bad birthdate_mode: {birthdate_mode!r}")
+        if interests_mode not in INTERESTS_MODES:
+            raise ValueError(f"bad interests_mode: {interests_mode!r}")
+        if not 0.0 <= distance_quantum_m < math.inf:
             raise ValueError("distance_quantum_m must be finite and >= 0, "
-                             f"got {self.distance_quantum_m!r}")
+                             f"got {distance_quantum_m!r}")
         # quantize_distance divides by the quantum, and no haversine_m
         # distance exceeds half the circumference.
-        if (self.distance_quantum_m > 0.0 and not math.isfinite(
-                math.pi * EARTH_RADIUS_M / self.distance_quantum_m)):
+        if (distance_quantum_m > 0.0 and not math.isfinite(
+                math.pi * EARTH_RADIUS_M / distance_quantum_m)):
             raise ValueError("distance_quantum_m must be 0 or keep "
                              "pi * EARTH_RADIUS_M / distance_quantum_m finite, "
-                             f"got {self.distance_quantum_m!r}")
+                             f"got {distance_quantum_m!r}")
+        _set(self, "share_distance", share_distance)
+        _set(self, "distance_quantum_m", distance_quantum_m)
+        _set(self, "share_first_name", share_first_name)
+        _set(self, "birthdate_mode", birthdate_mode)
+        _set(self, "interests_mode", interests_mode)
+        _set(self, "share_social_id", share_social_id)
 
 
 # Feature matrices of well-known proximity apps, as policy presets. The
@@ -340,7 +350,6 @@ class _CellGrid:
         return self.row(p.lat_deg), self.col(p.lon_deg) % self.n_cols
 
 
-@dataclass
 class World:
     """Ground truth plus the single simulation clock that owns it.
 
@@ -350,13 +359,17 @@ class World:
     the grid right.
     """
 
-    users: dict[str, SimUser]
-    catalog: PageCatalog
-    bbox: BoundingBox
-    seed: int
-    now_s: float = 0.0
-    _overrides: dict[str, GeoPoint] = field(default_factory=dict)
-    _grid: _CellGrid | None = field(default=None, repr=False, compare=False)
+    def __init__(self, users: dict[str, SimUser], catalog: PageCatalog,
+                 bbox: BoundingBox, seed: int, now_s: float = 0.0,
+                 _overrides: dict[str, GeoPoint] | None = None,
+                 _grid: _CellGrid | None = None):
+        self.users = users
+        self.catalog = catalog
+        self.bbox = bbox
+        self.seed = seed
+        self.now_s = now_s
+        self._overrides = {} if _overrides is None else _overrides
+        self._grid = _grid
 
     def advance(self, dt_s: float) -> float:
         if dt_s < 0.0:

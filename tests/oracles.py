@@ -37,6 +37,11 @@ from proxileak.world import (BIRTH_RANGE, FIRST_NAMES, MAX_DRAWS_PER_LIKE,
 
 EARTH_RADIUS_M = 6_371_008.8
 
+# No great-circle distance exceeds half the circumference, so a nearby
+# query of this radius sees the whole world wherever the bbox lies: the
+# users that the discovery sweep's ProximityService.discover marks.
+DISCOVER_RADIUS_M = math.pi * EARTH_RADIUS_M
+
 
 def law_of_cosines_m(lat1, lon1, lat2, lon2):
     """Great-circle distance via the spherical law of cosines."""

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from oracles import DISCOVER_RADIUS_M
 from proxileak import runner
-from proxileak.cli import EXIT_CONFIG, EXIT_OK, main
+from proxileak.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from proxileak.config import parse_scenario
 from proxileak.geo import EnuPoint, GeoPoint, from_enu, haversine_m
 from proxileak.service import ProximityService
@@ -250,11 +251,26 @@ def test_discovery_covers_a_bbox_around_the_pole(tmp_path):
     # Spanning every longitude, the bbox's two corners lie on one meridian
     # 11 km apart, while users in it can be 22 km apart across the pole.
     assert (haversine_m(GeoPoint(0.0, 0.0), GeoPoint(0.0, 180.0))
-            <= runner.DISCOVER_RADIUS_M)
+            <= DISCOVER_RADIUS_M)
     out = tmp_path / "o"
     assert main(["run", str(ROOT / "scenarios" / "track_commuter.cfg"),
                  "--out", str(out), "--set", "bbox=89.9,-180,90,180"]) == EXIT_OK
     assert (out / "track.csv").is_file()
+
+
+def test_failed_run_leaves_no_manifest(tmp_path, capsys):
+    # A target within ring_radius_m of the pole puts a probe point past it.
+    out = tmp_path / "o"
+    args = ["run", str(ROOT / "scenarios" / "localize_bcn.cfg"),
+            "--out", str(out), "--set", "bbox=89.995,-180,90,180",
+            "--set", "trials=1"]
+    assert main(args) == EXIT_RUNTIME
+    assert "latitude out of range" in capsys.readouterr().err
+    assert not (out / "manifest.cfg").exists()
+    # Nor does a failed run keep the manifest of a finished one.
+    (out / "manifest.cfg").write_text("seed = 1\n", encoding="utf-8")
+    assert main(args) == EXIT_RUNTIME
+    assert not (out / "manifest.cfg").exists()
 
 
 def test_identify_run_renders_only_the_profiles_it_polls(tmp_path, monkeypatch):

@@ -1,6 +1,6 @@
 import math
+import pickle
 import re
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -115,9 +115,26 @@ def test_sweepable_params_documented():
                                      "identify_batch_size", "interests_mode"}
 
 
+def test_config_pickles_equal():
+    # sweep --parallel sends each value's config to a pool worker.
+    cfg = parse_scenario(Path("scenarios/localize_bcn.cfg"))
+    assert pickle.loads(pickle.dumps(cfg)) == cfg
+    assert parse_scenario_text(MINIMAL, {"n_users": "26"}) != parse_scenario_text(
+        MINIMAL)
+
+
+def test_config_has_one_attribute_per_key():
+    cfg = ScenarioConfig(seed=1)
+    assert list(vars(cfg)) == list(config.KEYS)
+    assert all(getattr(cfg, name) == k.default
+               for name, k in config.KEYS.items() if name != "seed")
+    with pytest.raises(TypeError):
+        ScenarioConfig(seed=1, warp=9)
+
+
 def test_every_key_documented():
-    for f in fields(ScenarioConfig):
-        assert re.search(rf"\b{f.name}\b", config.__doc__), f.name
+    for name in config.KEYS:
+        assert re.search(rf"\b{name}\b", config.__doc__), name
 
 
 # -- property: every input is either rejected for its key or sane -------------
@@ -133,7 +150,7 @@ raw_values = (st.text()
 
 
 @settings(max_examples=1000, deadline=None)
-@given(key=st.sampled_from([f.name for f in fields(ScenarioConfig)]),
+@given(key=st.sampled_from(list(config.KEYS)),
        raw=raw_values)
 def test_any_single_value_is_rejected_for_its_key_or_usable(key, raw):
     try:
@@ -141,7 +158,7 @@ def test_any_single_value_is_rejected_for_its_key_or_usable(key, raw):
     except ConfigError as exc:
         assert exc.field == key
         return
-    for f in fields(cfg):
-        if f.type == "float" and f.name not in UNLIMITED_KEYS:
-            assert math.isfinite(getattr(cfg, f.name)), f.name
+    for name, k in config.KEYS.items():
+        if k.type == "float" and name not in UNLIMITED_KEYS:
+            assert math.isfinite(getattr(cfg, name)), name
     BoundingBox(*cfg.bbox)

@@ -65,7 +65,7 @@ def test_determinism(bcn, rng):
     cfg = SolverConfig(seed=99)
     a = multilaterate(samples, cfg)
     b = multilaterate(samples, cfg)
-    assert a == b  # bit-identical dataclasses
+    assert a == b  # bit-identical estimates
 
 
 def test_noiseless_identifiability(bcn, rng):

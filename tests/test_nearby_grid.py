@@ -14,9 +14,8 @@ from datetime import date
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import scan_nearby
+from oracles import DISCOVER_RADIUS_M, scan_nearby
 from proxileak.geo import EARTH_RADIUS_M, GeoPoint, haversine_m
-from proxileak.runner import DISCOVER_RADIUS_M
 from proxileak.service import ProximityService
 from proxileak.world import (BoundingBox, DisclosurePolicy, PageCatalog,
                              SimUser, Trajectory, World, generate_population,

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import scan_nearby
+from oracles import DISCOVER_RADIUS_M, scan_nearby
 from proxileak import service
 from proxileak.geo import GeoPoint, from_enu, EnuPoint, haversine_m
-from proxileak.runner import DISCOVER_RADIUS_M
 from proxileak.service import (AuthError, NotFoundError, ProximityService,
                                RateError)
 from proxileak.world import (BoundingBox, DisclosurePolicy, PageCatalog,

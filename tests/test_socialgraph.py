@@ -1,4 +1,3 @@
-from dataclasses import replace
 from datetime import date, timedelta
 
 import pytest
@@ -294,7 +293,9 @@ def _run_identification(fn, population, victim, view, attacker_likes,
     def like_and_refresh(pages):
         batches.append(set(pages))
         likes.update(pages)
-        return replace(view, common_likes=frozenset(likes & victim.likes))
+        return NearbyEntry(view.user_id, view.last_active_t, view.first_name,
+                           view.distance_m, view.fuzzy_birthdate,
+                           frozenset(likes & victim.likes), view.social_id)
 
     res = fn(view, population,
              like_and_refresh=like_and_refresh if refresh else None, **kwargs)
