@@ -10,6 +10,7 @@ function of (config, seed).
 
 from __future__ import annotations
 
+import gc
 import math
 import random
 import statistics
@@ -125,16 +126,26 @@ def _open_attack(cfg: ScenarioConfig, seed: int,
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> RunResult:
+    """Run the scenario's attack and write its artifacts into ``out_dir``.
+
+    The run owns the garbage collector freeze that building its worlds
+    makes (``generate_population``): it calls ``gc.unfreeze()`` on the way
+    out, whether it returns or raises, so a sweep or any other caller does
+    not keep one run's frozen garbage into the next.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = out / "manifest.cfg"
     manifest.unlink(missing_ok=True)
-    if cfg.attack == "localize":
-        metrics = _run_localize(cfg, out)
-    elif cfg.attack == "track":
-        metrics = _run_track(cfg, out)
-    else:
-        metrics = _run_identify(cfg, out)
+    try:
+        if cfg.attack == "localize":
+            metrics = _run_localize(cfg, out)
+        elif cfg.attack == "track":
+            metrics = _run_track(cfg, out)
+        else:
+            metrics = _run_identify(cfg, out)
+    finally:
+        gc.unfreeze()
     report.write_csv(out / "summary.csv", ("metric", "value"),
                      ((k, metrics[k]) for k in sorted(metrics)))
     report._write(manifest, (render_manifest(cfg),))

@@ -64,16 +64,24 @@ INTERESTS_MODES = ("pages", "categories", "hidden")
 
 
 def derive_seed(master: int, *labels) -> int:
-    """Stable 64-bit sub-seed for a labelled purpose under one master seed."""
-    h = hashlib.sha256(repr((master,) + labels).encode("utf-8")).digest()
-    return int.from_bytes(h[:8], "big")
+    """Stable 64-bit sub-seed for a labelled purpose under one master seed:
+    the first 8 bytes, big-endian, of the SHA-256 of ``repr((master,) +
+    labels)``."""
+    return _text_seed(repr((master,) + labels))
+
+
+def _text_seed(text: str) -> int:
+    return int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8],
+                          "big")
 
 
 @contextmanager
 def gc_paused():
     """Run the block with the cyclic garbage collector off, then restore
     the collector's prior state. For loops that allocate many acyclic
-    objects, which only reference counting frees anyway."""
+    objects, which only reference counting frees anyway. A block that
+    ends in ``gc.freeze()`` also keeps what it built out of every later
+    collection (see ``generate_population``)."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -510,7 +518,16 @@ def generate_population(n: int, catalog_size: int, zipf_s: float, seed: int,
 
     Positions are uniform in ``bbox``; per-user like counts follow a bounded
     geometric law with the given mean; likes are drawn without replacement
-    from the catalog with rank weight rank**-zipf_s.
+    from the catalog with rank weight rank**-zipf_s. Each user draws from
+    one generator seeded with ``derive_seed(seed, "user", user_id)``.
+
+    The population is built with the cyclic garbage collector paused, and
+    then ``gc.freeze()`` moves it into the permanent generation, so no
+    later collection walks it. The freeze is process-wide: every object
+    alive at that moment is frozen with the population, until
+    ``gc.unfreeze()``, which ``runner.run_scenario`` calls when its run
+    ends. Reference counting still frees frozen objects; only cyclic
+    garbage among them waits for the unfreeze.
     """
     if n < 1:
         raise ValueError("population size must be >= 1")
@@ -520,12 +537,17 @@ def generate_population(n: int, catalog_size: int, zipf_s: float, seed: int,
     users: dict[str, SimUser] = {}
     ord_lo, ord_hi = BIRTH_RANGE[0].toordinal(), BIRTH_RANGE[1].toordinal()
     max_likes = min(MAX_LIKES_PER_USER, catalog_size)
+    # derive_seed(seed, "user", uid) hashes repr((seed, "user", uid)); a
+    # user id is "u" and digits, so its repr is the id in single quotes.
+    head = repr((seed, "user", ""))[:-3]
+    # Re-seeding leaves the state a new Random(s) would have.
+    rng = random.Random()
     # Each user's objects form no reference cycle, so collector passes
     # over the growing population would find nothing to free.
     with gc_paused():
         for i in range(n):
             uid = f"u{i:05d}"
-            rng = random.Random(derive_seed(seed, "user", uid))
+            rng.seed(_text_seed(f"{head}'{uid}')"))
             pos = bbox.sample(rng)
             n_likes = _bounded_geometric(rng, mean_likes, max_likes)
             users[uid] = SimUser(
@@ -536,4 +558,5 @@ def generate_population(n: int, catalog_size: int, zipf_s: float, seed: int,
                 likes=catalog.sample_likes(n_likes, rng),
                 social_id=f"fb{i:07d}",
             )
+        gc.freeze()
     return World(users=users, catalog=catalog, bbox=bbox, seed=seed)

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import signal
@@ -5,6 +6,7 @@ import socket
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ from proxileak.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from proxileak.config import parse_scenario
 from proxileak.geo import EnuPoint, GeoPoint, from_enu, haversine_m
 from proxileak.service import ProximityService
+from proxileak.world import gc_paused
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -271,6 +274,31 @@ def test_failed_run_leaves_no_manifest(tmp_path, capsys):
     (out / "manifest.cfg").write_text("seed = 1\n", encoding="utf-8")
     assert main(args) == EXIT_RUNTIME
     assert not (out / "manifest.cfg").exists()
+
+
+class _Node:
+    pass
+
+
+@pytest.mark.parametrize("overrides, code", [
+    ([], EXIT_OK),
+    # A probe point past the pole fails the run after its world is built.
+    (["--set", "bbox=89.995,-180,90,180"], EXIT_RUNTIME),
+], ids=["ok", "runtime-error"])
+def test_a_run_leaves_nothing_frozen(tmp_path, overrides, code):
+    # The collector stays off until the explicit collection, so the cycle
+    # is still alive when the run's world build freezes the process.
+    with gc_paused():
+        a, b = _Node(), _Node()
+        a.other, b.other = b, a
+        cycle = weakref.ref(a)
+        del a, b
+        assert main(["run", str(ROOT / "scenarios" / "localize_bcn.cfg"),
+                     "--out", str(tmp_path), "--set", "trials=1",
+                     *overrides]) == code
+        assert gc.get_freeze_count() == 0
+        gc.collect()
+        assert cycle() is None
 
 
 def test_identify_run_renders_only_the_profiles_it_polls(tmp_path, monkeypatch):

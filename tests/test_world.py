@@ -44,10 +44,11 @@ def bboxes(draw):
 
 
 # zipf_s near 60 leaves only rank 1 drawable, so the draw budget runs out.
+# A config's seed is any int, negative or past 64 bits.
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(n=st.integers(1, 200), catalog_size=st.integers(1, 2000),
        zipf_s=st.floats(0.0, 60.0, exclude_min=True),
-       seed=st.integers(0, 2**64 - 1), bbox=bboxes(),
+       seed=st.integers(-2**200, 2**200), bbox=bboxes(),
        mean_likes=st.floats(0.0, 1e3), n_categories=st.integers(1, 40),
        count=st.integers(0, 80), draw_seed=st.integers(0, 2**32))
 def test_build_equals_the_oracle_loop(n, catalog_size, zipf_s, seed, bbox,
@@ -320,8 +321,14 @@ def test_gc_paused_restores_the_prior_state(gc_state):
 
 
 def test_build_leaves_the_gc_state_as_found(gc_state):
-    generate_population(30, 50, 1.0, seed=2)
+    world = generate_population(30, 50, 1.0, seed=2)
     assert gc.isenabled() is gc_state
+    # Frozen: tracked by the collector, but in none of its generations.
+    users = list(world.users.values())
+    assert all(gc.is_tracked(u) for u in users)
+    assert gc.get_freeze_count() >= len(users)
+    ids = {id(u) for u in users}
+    assert not any(id(o) in ids for o in gc.get_objects())
 
 
 def test_world_clock_and_overrides(bcn):
