@@ -92,11 +92,9 @@ class Poi(Frozen):
 
 
 class TrackRecord:
-    def __init__(self,
-                 estimates: list[tuple[float, PositionEstimate]] | None = None,
-                 gaps: list[float] | None = None):
-        self.estimates = [] if estimates is None else estimates
-        self.gaps = [] if gaps is None else gaps
+    def __init__(self):
+        self.estimates: list[tuple[float, PositionEstimate]] = []
+        self.gaps: list[float] = []
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -114,12 +112,13 @@ class Attacker:
 
     ``ref`` anchors the attacker's working plane (any point near the scene
     works). ``advance`` is the scenario's clock hook: tracking calls it to
-    let simulated time pass between fixes.
+    let simulated time pass between fixes. Without a ``trace`` the attacker
+    logs into a fresh one of its own.
     """
 
     def __init__(self, service: ProximityService, session: Session,
-                 ref: GeoPoint, trace: AttackTrace | None = None,
-                 advance: Callable[[float], float] | None = None):
+                 ref: GeoPoint, advance: Callable[[float], float],
+                 trace: AttackTrace | None = None):
         self.service = service
         self.session = session
         self.ref = ref
@@ -208,8 +207,6 @@ class Attacker:
             raise ValueError("interval_s must be > 0")
         if duration_s < 0.0:
             raise ValueError("duration_s must be >= 0")
-        if self._advance is None:
-            raise ValueError("tracking needs the scenario clock hook")
         record = TrackRecord()
         n_fixes = 1 + int(duration_s // interval_s)
         current = plan

@@ -6,7 +6,8 @@
  * the loops differ (here one pass over the samples per candidate, there one
  * pass per round). Build with -ffp-contract=off (no FMA fusion in the
  * residual arithmetic) and keep the two files in step. Samples are 1-D
- * contiguous buffers of C doubles. */
+ * contiguous buffers of C doubles. Like its twin, the module exports
+ * solve_pattern only. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -72,22 +73,6 @@ objective(const Samples *s, double px, double py, int norm_code)
 }
 
 static PyObject *
-objective_value(PyObject *self, PyObject *args)
-{
-    PyObject *objs[3];
-    double px, py;
-    int norm_code;
-    Samples s;
-    if (!PyArg_ParseTuple(args, "OOOddi:objective_value", &objs[0], &objs[1],
-                          &objs[2], &px, &py, &norm_code)
-            || samples_acquire(&s, objs) < 0)
-        return NULL;
-    double f = objective(&s, px, py, norm_code);
-    samples_release(&s);
-    return PyFloat_FromDouble(f);
-}
-
-static PyObject *
 solve_pattern(PyObject *self, PyObject *args)
 {
     PyObject *objs[3];
@@ -132,8 +117,6 @@ solve_pattern(PyObject *self, PyObject *args)
 }
 
 static PyMethodDef kernel_methods[] = {
-    {"objective_value", objective_value, METH_VARARGS,
-     "Per-sample-normalized residual norm of point (px, py)."},
     {"solve_pattern", solve_pattern, METH_VARARGS,
      "Compass/pattern search with step halving; returns (x, y, objective, rounds)."},
     {NULL, NULL, 0, NULL},
@@ -145,9 +128,5 @@ static struct PyModuleDef kernel_module = {PyModuleDef_HEAD_INIT, "_kernels",
 PyMODINIT_FUNC
 PyInit__kernels(void)
 {
-    PyObject *m = PyModule_Create(&kernel_module);
-    if (m != NULL && (PyModule_AddIntConstant(m, "NORM_L1", NORM_L1) < 0
-                      || PyModule_AddIntConstant(m, "NORM_L2", NORM_L2) < 0))
-        Py_CLEAR(m);
-    return m;
+    return PyModule_Create(&kernel_module);
 }

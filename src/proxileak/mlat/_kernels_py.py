@@ -12,7 +12,8 @@ the candidates on the same row or column; the C kernel scores one
 candidate per pass. The compiled module is built with -ffp-contract=off so
 that no multiply-add is fused. Keep the two files in step.
 
-``norm_code``: 0 = mean absolute residual, 1 = mean squared residual.
+``solve_pattern`` is the one entry point of both modules. ``norm_code``:
+0 = mean absolute residual, 1 = mean squared residual.
 """
 
 from math import fabs, sqrt
@@ -95,7 +96,7 @@ def _ring_sums_l2(rows, xhi, xlo, xmid, yhi, ylo, ymid):
     return s0, s1, s2, s3, s4, s5, s6, s7
 
 
-def objective_value(obs_x, obs_y, dist, px, py, norm_code):
+def _objective_value(obs_x, obs_y, dist, px, py, norm_code):
     """Per-sample-normalized residual norm of point (px, py)."""
     n = _check(obs_x, obs_y, dist)
     acc = 0.0
@@ -129,7 +130,7 @@ def solve_pattern(obs_x, obs_y, dist, x0, y0, step_init, tol, max_iter, norm_cod
     ring_sums = _ring_sums_l1 if norm_code == NORM_L1 else _ring_sums_l2
     cx = x0
     cy = y0
-    fc = objective_value(obs_x, obs_y, dist, cx, cy, norm_code)
+    fc = _objective_value(obs_x, obs_y, dist, cx, cy, norm_code)
     step = step_init
     it = 0
     while it < max_iter:

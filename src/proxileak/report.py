@@ -4,7 +4,8 @@ Traces are append-only logs of attacker actions. ``classify`` labels every
 trace event with privacy-violation categories from a fixed four-category
 taxonomy (collection / processing / dissemination / invasion, each with a
 closed activity vocabulary). ``emit`` ends an attack run: it logs the export
-and writes the violation tables. The ``write_*`` functions render
+and writes the violation tables, the labels and their counts per
+(category, activity). The ``write_*`` functions render
 deterministic CSV files and small self-contained SVG plots (fixed 800x600
 canvas, stable element ids).
 Every CSV goes through ``write_csv``, every file through ``_write``.
@@ -13,6 +14,7 @@ Every CSV goes through ``write_csv``, every file through ``_write``.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -21,7 +23,7 @@ from .geo import Frozen, _set
 from .mlat import DistanceSample, PositionEstimate
 
 __all__ = [
-    "TraceEvent", "AttackTrace", "ViolationReport", "TAXONOMY",
+    "TraceEvent", "AttackTrace", "TAXONOMY",
     "DEFAULT_EVENT_LABELS", "classify", "emit",
 ]
 
@@ -78,23 +80,15 @@ class AttackTrace:
         self.events.append(event)
 
 
-class ViolationReport:
-    def __init__(self, labels: list[tuple[int, str, str, str]],
-                 tallies: dict[tuple[str, str], int]):
-        # (event index, event kind, category, activity) per assigned label
-        self.labels = labels
-        self.tallies = tallies
-
-
-def classify(trace: AttackTrace) -> ViolationReport:
+def classify(trace: AttackTrace) -> list[tuple[int, str, str, str]]:
     """Label every trace event; pure function of the trace.
 
-    On top of the per-kind mapping, a target localized two or more times
-    counts as followed over time, which additionally labels those events as
-    intrusion.
+    Returns one ``(event index, event kind, category, activity)`` row per
+    assigned label, in event order. On top of the per-kind mapping, a
+    target localized two or more times counts as followed over time, which
+    additionally labels those events as intrusion.
     """
     labels: list[tuple[int, str, str, str]] = []
-    tallies: dict[tuple[str, str], int] = {}
     seen_localizations: dict[str, int] = {}
     for idx, ev in enumerate(trace.events):
         ev_labels = list(DEFAULT_EVENT_LABELS[ev.kind])
@@ -104,8 +98,7 @@ def classify(trace: AttackTrace) -> ViolationReport:
                 ev_labels.append(INTRUSION_LABEL)
         for cat, act in ev_labels:
             labels.append((idx, ev.kind, cat, act))
-            tallies[(cat, act)] = tallies.get((cat, act), 0) + 1
-    return ViolationReport(labels, tallies)
+    return labels
 
 
 # -- artifact emission -------------------------------------------------------
@@ -258,15 +251,16 @@ def write_error_vs_quantum(rows: list[tuple[float, float, float, int]],
 
 def emit(out_dir: Path, trace: AttackTrace) -> None:
     """End an attack run: log the export in ``trace``, then write the
-    trace's violation tables into ``out_dir``: tallies over the full closed
-    vocabulary (activities never produced stay visible as count 0) and the
-    per-event labels."""
+    trace's violation tables into ``out_dir``: the per-event labels of
+    ``classify`` (``trace_labels.csv``) and their count per (category,
+    activity) over the full closed vocabulary (``violations.csv``;
+    activities never produced stay visible as count 0)."""
     t = trace.events[-1].t if trace.events else 0.0
     trace.append(TraceEvent("export", t))
-    report = classify(trace)
+    labels = classify(trace)
+    counts = Counter((cat, act) for _, _, cat, act in labels)
     write_csv(out_dir / "violations.csv", ("category", "activity", "count"),
-              ((cat, act, report.tallies.get((cat, act), 0))
+              ((cat, act, counts[cat, act])
                for cat, acts in TAXONOMY.items() for act in acts))
     write_csv(out_dir / "trace_labels.csv",
-              ("event_index", "event_kind", "category", "activity"),
-              report.labels)
+              ("event_index", "event_kind", "category", "activity"), labels)

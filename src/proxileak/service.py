@@ -62,9 +62,9 @@ class NearbyEntry(Frozen):
 
 
 class Session:
-    def __init__(self, user_id: str, discovered: set[str]):
+    def __init__(self, user_id: str):
         self.user_id = user_id
-        self.discovered = discovered
+        self.discovered: set[str] = set()
 
 
 class ProximityService:
@@ -90,7 +90,7 @@ class ProximityService:
         """Tokens are user ids; unknown tokens are rejected."""
         if token not in self.world.users:
             raise AuthError(f"unknown token {token!r}")
-        return Session(token, set())
+        return Session(token)
 
     # -- requests ----------------------------------------------------------
 

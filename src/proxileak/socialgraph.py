@@ -157,8 +157,8 @@ def identify(victim_view: NearbyEntry, graph: SocialGraph,
              max_rounds: int = 10, batch_size: int = 10,
              like_and_refresh: Callable[[set[str]], NearbyEntry] | None = None,
              interests_are_pages: bool = True,
-             birthdate_is_fuzzy: bool = True,
-             trace: AttackTrace | None = None) -> IdentificationResult:
+             birthdate_is_fuzzy: bool = True, *,
+             trace: AttackTrace) -> IdentificationResult:
     """Narrow the victim's social account from their proximity-app view.
 
     ``like_and_refresh(pages)`` must make the attacker like ``pages`` and
@@ -168,7 +168,9 @@ def identify(victim_view: NearbyEntry, graph: SocialGraph,
     starts from the whole population, still filtered by the birth year when
     one is shown. The true account is never dropped from the pool as
     long as the disclosed fields are truthful, and pools only ever shrink.
-    One ``graph`` serves any number of victims.
+    One ``graph`` serves any number of victims. The attribute match and
+    every later round each log an ``identify_round`` event in ``trace``; a
+    view that shows the social id is answered at once and logs nothing.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
@@ -186,9 +188,8 @@ def identify(victim_view: NearbyEntry, graph: SocialGraph,
 
     matched = graph.matching(GraphQuery(name, years, frozenset(known)))
     pools = [frozenset(u.social_id for u in matched)]
-    if trace is not None:
-        trace.append(TraceEvent("identify_round", victim_view.last_active_t,
-                                victim_view.user_id))
+    trace.append(TraceEvent("identify_round", victim_view.last_active_t,
+                            victim_view.user_id))
 
     tried = set(known)
     for _ in range(max_rounds):
@@ -211,8 +212,7 @@ def identify(victim_view: NearbyEntry, graph: SocialGraph,
         known |= confirmed
         matched = graph.matching(GraphQuery(name, years, frozenset(known)))
         pools.append(frozenset(u.social_id for u in matched))
-        if trace is not None:
-            trace.append(TraceEvent("identify_round", view.last_active_t,
-                                    victim_view.user_id))
+        trace.append(TraceEvent("identify_round", view.last_active_t,
+                                victim_view.user_id))
 
     return IdentificationResult(pools)

@@ -368,16 +368,14 @@ class World:
     """
 
     def __init__(self, users: dict[str, SimUser], catalog: PageCatalog,
-                 bbox: BoundingBox, seed: int, now_s: float = 0.0,
-                 _overrides: dict[str, GeoPoint] | None = None,
-                 _grid: _CellGrid | None = None):
+                 bbox: BoundingBox, seed: int):
         self.users = users
         self.catalog = catalog
         self.bbox = bbox
         self.seed = seed
-        self.now_s = now_s
-        self._overrides = {} if _overrides is None else _overrides
-        self._grid = _grid
+        self.now_s = 0.0
+        self._overrides: dict[str, GeoPoint] = {}
+        self._grid: _CellGrid | None = None
 
     def advance(self, dt_s: float) -> float:
         if dt_s < 0.0:

@@ -11,7 +11,9 @@ under an interpreter without pytest, run from the repository root::
 
     PYTHONPATH=src python tests/golden.py
 
-It prints one line per case and exits with status 1 on any mismatch.
+It prints one line per case, then a summary line that names the Python
+version and the solver kernel backend it ran, and exits with status 1 on
+any mismatch.
 Given interpreter paths, it re-runs itself under each one instead and
 prints each interpreter's summary line, after the lines of any case that
 failed there::
@@ -27,6 +29,7 @@ from functools import partial
 from pathlib import Path
 
 from proxileak.config import parse_scenario
+from proxileak.mlat import backend_name
 from proxileak.runner import run_scenario, run_sweep
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -215,7 +218,7 @@ def main():
             print(f"{'FAIL' if bad else 'ok':4}  {label}"
                   + (f": {', '.join(bad)}" if bad else ""))
             failed += bool(bad)
-    print(f"python {sys.version.split()[0]}: "
+    print(f"python {sys.version.split()[0]} {backend_name()}: "
           f"{len(cases) - failed}/{len(cases)} cases byte-identical")
     return 1 if failed else 0
 

@@ -205,7 +205,8 @@ def test_graph_search_refinement():
                 world.add_likes(ATTACKER, pages)
                 return svc.profile(session, _vid)
 
-            res = identify(view, graph, like_and_refresh=refresh)
+            res = identify(view, graph, like_and_refresh=refresh,
+                           trace=report.AttackTrace())
             runs += 1
             truth_sid = world.users[vid].social_id
             sound += all(truth_sid in p for p in res.pools)
@@ -261,7 +262,8 @@ def test_category_mitigation():
                 return svc.profile(session, _vid)
 
             res = identify(view, graph, like_and_refresh=refresh,
-                           interests_are_pages=(mode == "pages"))
+                           interests_are_pages=(mode == "pages"),
+                           trace=report.AttackTrace())
             hits += int(res.identified
                         and res.social_id == world.users[u.user_id].social_id)
         return hits

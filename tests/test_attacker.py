@@ -249,7 +249,7 @@ def triangle(ref, x0=0.0, t=0.0, quantum=0.0):
 
 
 def test_memo_keys_are_bit_exact(bcn, solves):
-    agent = Attacker(None, None, ref=bcn)
+    agent = Attacker(None, None, ref=bcn, advance=None)
     cfg = solver()
     first = agent._solve(triangle(bcn), cfg)
     # The solver never reads t or quantum_m.
@@ -264,7 +264,7 @@ def test_memo_keys_are_bit_exact(bcn, solves):
 
 
 def test_memo_holds_at_most_eight_entries(bcn, solves):
-    agent = Attacker(None, None, ref=bcn)
+    agent = Attacker(None, None, ref=bcn, advance=None)
     cfg = solver()
     for k in range(20):
         agent._solve(triangle(bcn, x0=float(k)), cfg)
@@ -276,7 +276,7 @@ def test_memo_holds_at_most_eight_entries(bcn, solves):
 
 
 def test_solver_errors_are_not_remembered(bcn, solves):
-    agent = Attacker(None, None, ref=bcn)
+    agent = Attacker(None, None, ref=bcn, advance=None)
     collinear = [DistanceSample(EnuPoint(x, 0.0, bcn), 500.0, 0.0)
                  for x in (0.0, 100.0, 200.0)]
     for samples in (collinear, collinear[:2]):

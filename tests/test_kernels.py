@@ -1,7 +1,9 @@
 """Backend parity: the compiled and pure-Python kernels must agree bit for
 bit, so the artifact's determinism does not depend on which one loads. The
 pure kernel must also agree bit for bit with the one-candidate-per-pass
-loop it replaced (``tests/oracles.py``), which needs no compiler.
+loop it replaced (``tests/oracles.py``), which needs no compiler. Both
+modules export ``solve_pattern`` alone; a solve of 0 rounds returns the
+objective at its start point, which is how these tests read it.
 
 The compiled module comes from the session fixture ``compiled`` in
 ``conftest.py``.
@@ -26,13 +28,32 @@ def random_instance(rng, n):
     return xs, ys, ds
 
 
+def objective(kernel, xs, ys, ds, px, py, norm):
+    """The objective at (px, py), from a solve of 0 rounds started there."""
+    x, y, f, rounds = kernel.solve_pattern(xs, ys, ds, px, py, 500.0, 0.01, 0,
+                                           norm)
+    assert (x, y, rounds) == (px, py, 0)
+    return f
+
+
+def public_callables(module):
+    """Public callables of a kernel module, less those it imports from math."""
+    return {name for name, value in vars(module).items()
+            if not name.startswith("_") and callable(value)
+            and value is not getattr(math, name, None)}
+
+
+def test_backends_export_one_entry_point(compiled):
+    assert public_callables(pure) == public_callables(compiled) == {"solve_pattern"}
+
+
 def test_objective_bit_identical(rng, compiled):
     for _ in range(300):
         xs, ys, ds = random_instance(rng, rng.randrange(1, 40))
         px, py = rng.uniform(-3000, 3000), rng.uniform(-3000, 3000)
         for norm in (0, 1):
-            assert (pure.objective_value(xs, ys, ds, px, py, norm)
-                    == compiled.objective_value(xs, ys, ds, px, py, norm))
+            assert (objective(pure, xs, ys, ds, px, py, norm)
+                    == objective(compiled, xs, ys, ds, px, py, norm))
 
 
 def test_solve_bit_identical(rng, compiled):
@@ -64,8 +85,8 @@ def test_objective_mean_normalization():
     ys = array("d", [0.0, 100.0])
     ds = array("d", [50.0, 50.0])
     # residuals at origin: |0-50| and |100-50| -> mean 50
-    assert pure.objective_value(xs, ys, ds, 0.0, 0.0, 0) == 50.0
-    assert pure.objective_value(xs, ys, ds, 0.0, 0.0, 1) == 2500.0
+    assert objective(pure, xs, ys, ds, 0.0, 0.0, 0) == 50.0
+    assert objective(pure, xs, ys, ds, 0.0, 0.0, 1) == 2500.0
 
 
 @pytest.fixture(params=["pure-python", "compiled"])
@@ -79,10 +100,9 @@ def kernel(request):
 def test_bad_sample_buffers_rejected(kernel, lengths):
     xs, ys, ds = (array("d", [1.0] * k) for k in lengths)
     message = "sample buffers must be non-empty and equally long"
-    with pytest.raises(ValueError, match=message):
-        kernel.objective_value(xs, ys, ds, 0.0, 0.0, 0)
-    with pytest.raises(ValueError, match=message):
-        kernel.solve_pattern(xs, ys, ds, 0.0, 0.0, 500.0, 0.01, 10, 0)
+    for max_iter in (0, 10):
+        with pytest.raises(ValueError, match=message):
+            kernel.solve_pattern(xs, ys, ds, 0.0, 0.0, 500.0, 0.01, max_iter, 0)
 
 
 # Small integers make exactly tied residuals likely; -0.0 starts differ from
@@ -124,7 +144,7 @@ def bits(values):
 @given(solver_cases())
 def test_pure_kernel_equals_per_candidate_loop(case):
     samples, x0, y0, step, tol, max_iter, norm = case
-    assert (bits([pure.objective_value(*samples, x0, y0, norm)])
+    assert (bits([objective(pure, *samples, x0, y0, norm)])
             == bits([loop_objective_value(*samples, x0, y0, norm)]))
     assert (bits(pure.solve_pattern(*samples, x0, y0, step, tol, max_iter, norm))
             == bits(loop_solve_pattern(*samples, x0, y0, step, tol, max_iter, norm)))

@@ -1,4 +1,10 @@
+import tempfile
+from collections import Counter
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxileak.geo import EnuPoint
 from proxileak.mlat import DistanceSample, PositionEstimate
@@ -35,8 +41,9 @@ def test_localize_requires_prior_probe():
 def test_probe_only_trace_is_collection_only():
     tr = trace_of(TraceEvent("probe", 0.0, "u1"),
                   TraceEvent("probe", 1.0, "u1"))
-    rep = classify(tr)
-    assert rep.tallies == {("Collection", "Surveillance"): 2}
+    labels = classify(tr)
+    assert Counter((cat, act) for *_, cat, act in labels) == {
+        ("Collection", "Surveillance"): 2}
 
 
 def test_full_attack_trace_hits_all_categories():
@@ -49,26 +56,23 @@ def test_full_attack_trace_hits_all_categories():
         TraceEvent("identify_round", 4.0, "u1"),
         TraceEvent("export", 5.0),
     )
-    rep = classify(tr)
-    assert {cat for cat, _ in rep.tallies} == set(TAXONOMY)
+    labels = classify(tr)
+    assert {cat for _, _, cat, _ in labels} == set(TAXONOMY)
     # the second fix of the same target is the intrusion
-    invasion_rows = [r for r in rep.labels if r[2] == "Invasion"]
+    invasion_rows = [r for r in labels if r[2] == "Invasion"]
     assert len(invasion_rows) == 1
     assert invasion_rows[0][0] == 4
 
 
 def test_empty_trace_all_zero():
-    rep = classify(AttackTrace())
-    assert rep.tallies == {}
-    assert rep.labels == []
+    assert classify(AttackTrace()) == []
 
 
 def test_every_event_gets_a_label():
     tr = trace_of(TraceEvent("probe", 0.0, "u1"),
                   TraceEvent("identify_round", 1.0, "u2"),
                   TraceEvent("export", 2.0))
-    rep = classify(tr)
-    assert {idx for idx, *_ in rep.labels} == {0, 1, 2}
+    assert {idx for idx, *_ in classify(tr)} == {0, 1, 2}
 
 
 def test_label_vocabulary_closed():
@@ -117,3 +121,34 @@ def test_emit_deterministic_and_ids(tmp_path, bcn):
     violations = (out1 / "violations.csv").read_text().splitlines()
     n_vocab = sum(len(a) for a in TAXONOMY.values())
     assert len(violations) == 1 + n_vocab  # full closed vocabulary, zeros kept
+
+
+# (kind, target) steps; a localize_result with no earlier probe of its
+# target is appended as a probe instead, so every trace is valid.
+TRACE_STEPS = st.lists(st.tuples(
+    st.sampled_from(sorted(DEFAULT_EVENT_LABELS)),
+    st.sampled_from(("u1", "u2", None)), st.booleans()), max_size=30)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(TRACE_STEPS)
+def test_violation_counts_equal_label_rows(steps):
+    tr, probed, t = AttackTrace(), set(), 0.0
+    for kind, target, later in steps:
+        if kind == "localize_result" and target not in probed:
+            kind = "probe"
+        if kind == "probe":
+            probed.add(target)
+        t += later
+        tr.append(TraceEvent(kind, t, target))
+    with tempfile.TemporaryDirectory() as tmp:
+        emit(Path(tmp), tr)
+        violations = (Path(tmp) / "violations.csv").read_text().splitlines()
+        labels = (Path(tmp) / "trace_labels.csv").read_text().splitlines()
+    rows = Counter(tuple(line.split(",")[2:]) for line in labels[1:])
+    vocabulary = [(cat, act) for cat, acts in TAXONOMY.items() for act in acts]
+    assert [tuple(line.split(",")[:2]) for line in violations[1:]] == vocabulary
+    assert rows.keys() <= set(vocabulary)
+    for line in violations[1:]:
+        cat, act, count = line.split(",")
+        assert int(count) == rows[cat, act]  # 0 when no row has the label

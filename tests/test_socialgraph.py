@@ -1,4 +1,5 @@
 from datetime import date, timedelta
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from proxileak.world import (BIRTH_RANGE, FUZZ_WINDOW_DAYS, DisclosurePolicy,
                              SimUser, generate_population,
                              stationary_trajectory)
 from proxileak.geo import GeoPoint
-from proxileak.report import write_csv
+from proxileak.report import AttackTrace, write_csv
 
 
 def user(social, name, year, likes, uid=None):
@@ -138,7 +139,8 @@ def view_for(u, common, t=0.0, name=True, bday=True, social=None):
 
 def test_identify_unique_like_round_zero():
     victim = HANDCRAFTED[8]  # only s8 likes p5 among 1979 Lucs
-    res = identify(view_for(victim, {"p5"}), GRAPH, birthdate_is_fuzzy=False)
+    res = identify(view_for(victim, {"p5"}), GRAPH, birthdate_is_fuzzy=False,
+                   trace=AttackTrace())
     assert res.identified and res.social_id == "s8"
     assert res.pool_sizes == [1]
     assert res.rounds_used == 0
@@ -150,7 +152,7 @@ def test_identify_twins_stall_at_two():
              user("t2", "Bob", 1988, {"p3"})]
     res = identify(view_for(twins[0], {"p1"}), SocialGraph(twins),
                    like_and_refresh=lambda pages: view_for(twins[0], {"p1", "p2"}),
-                   birthdate_is_fuzzy=False)
+                   birthdate_is_fuzzy=False, trace=AttackTrace())
     # One round confirms p2, which both twins like; then no page is left
     # to try, so refinement stops well before max_rounds.
     assert not res.identified
@@ -166,25 +168,30 @@ def test_identify_rejects_empty_rounds_and_batches():
                             ({"batch_size": 0}, "batch_size must be >= 1"),
                             ({"batch_size": -1}, "batch_size must be >= 1")]:
         with pytest.raises(ValueError, match=message):
-            identify(view, GRAPH, like_and_refresh=lambda pages: view, **kwargs)
+            identify(view, GRAPH, like_and_refresh=lambda pages: view,
+                     trace=AttackTrace(), **kwargs)
 
 
 def test_identify_social_id_short_circuit():
     victim = HANDCRAFTED[0]
-    res = identify(view_for(victim, set(), social="s0"), GRAPH)
+    trace = AttackTrace()
+    res = identify(view_for(victim, set(), social="s0"), GRAPH, trace=trace)
     assert res.identified and res.social_id == "s0"
     assert res.rounds_used == 0
+    assert trace.events == []
 
 
 def test_identify_insufficient_selectors():
     # Neither a name nor common likes: the pool starts from everyone (or
     # everyone born in the shown year) and cannot refine without refreshes.
     victim = HANDCRAFTED[0]
-    res = identify(view_for(victim, set(), name=False, bday=False), GRAPH)
+    res = identify(view_for(victim, set(), name=False, bday=False), GRAPH,
+                   trace=AttackTrace())
     assert res.pools[0] == {u.social_id for u in HANDCRAFTED}
     assert res.pool_sizes == [len(HANDCRAFTED)]
     assert res.rounds_used == 0 and not res.identified
-    res = identify(view_for(victim, set(), name=False), GRAPH)
+    res = identify(view_for(victim, set(), name=False), GRAPH,
+                   trace=AttackTrace())
     assert res.pools == [{u.social_id for u in HANDCRAFTED
                           if u.true_birthdate.year == 1979}]
     assert res.rounds_used == 0
@@ -212,7 +219,8 @@ def test_identify_pool_subset_invariant_and_soundness():
             world.add_likes("attacker", pages)
             return svc.profile(session, _vid)
 
-        res = identify(view, population, like_and_refresh=refresh)
+        res = identify(view, population, like_and_refresh=refresh,
+                       trace=AttackTrace())
         assert res.pool_sizes == sorted(res.pool_sizes, reverse=True)
         truth_sid = world.users[vid].social_id
         for pool in res.pools:
@@ -245,7 +253,8 @@ def test_categories_mode_weaker_than_pages():
                 return svc.profile(session, _vid)
 
             res = identify(view, population, like_and_refresh=refresh,
-                           interests_are_pages=(mode == "pages"))
+                           interests_are_pages=(mode == "pages"),
+                           trace=AttackTrace())
             truth_sid = world.users[vid].social_id
             hits[mode] += int(res.identified and res.social_id == truth_sid)
     assert hits["categories"] < hits["pages"]
@@ -308,7 +317,9 @@ def test_identify_equals_brute_force_loop(case):
     users, victim, view, attacker_likes, refresh, kwargs = case
     graph = SocialGraph(users)
     assert list(graph) == users
-    got, got_batches = _run_identification(identify, graph, victim, view,
+    trace = AttackTrace()
+    got, got_batches = _run_identification(partial(identify, trace=trace),
+                                           graph, victim, view,
                                            attacker_likes, refresh, kwargs)
     want, want_batches = _run_identification(brute_identify, users, victim,
                                               view, attacker_likes, refresh,
@@ -319,6 +330,8 @@ def test_identify_equals_brute_force_loop(case):
     assert got.rounds_used == want.rounds_used
     assert got.identified == want.identified
     assert got.social_id == want.social_id
+    # One identify_round per pool: the attribute match, then each round.
+    assert [e.kind for e in trace.events] == ["identify_round"] * len(got.pools)
 
 
 def test_identification_csv(tmp_path):
