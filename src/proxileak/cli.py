@@ -78,8 +78,8 @@ def _cmd_serve(args) -> int:
     if not 0 <= args.port <= 65535:
         raise ConfigError(f"must be in 0..65535: {args.port}", field="--port")
     cfg = _load(args)
-    # The population stays frozen out of the collector's passes
-    # (generate_population) for the life of the server.
+    # The world stays frozen out of the collector's passes (build_service)
+    # for the life of the server: serve never thaws it.
     try:
         server = ServiceServer(build_service(cfg, cfg.seed), port=args.port)
     except OSError as exc:

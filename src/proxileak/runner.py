@@ -27,8 +27,9 @@ from .report import AttackTrace
 from .service import ProximityService
 from .socialgraph import SocialGraph, identify
 from .world import (BoundingBox, DisclosurePolicy, SimUser, World,
-                    commuter_trajectory, derive_seed, generate_population,
-                    random_walk_trajectory, stationary_trajectory)
+                    commuter_trajectory, derive_seed, gc_paused,
+                    generate_population, random_walk_trajectory,
+                    stationary_trajectory)
 
 __all__ = ["RunResult", "build_policy", "build_service", "build_world",
            "run_scenario", "run_sweep"]
@@ -77,8 +78,22 @@ def build_world(cfg: ScenarioConfig, seed: int | None = None) -> World:
 
 
 def build_service(cfg: ScenarioConfig, seed: int) -> ProximityService:
-    """The service over a fresh ``build_world(cfg, seed)``, under cfg's policy."""
-    return ProximityService(build_world(cfg, seed), build_policy(cfg),
+    """The service over a fresh ``build_world(cfg, seed)``, under cfg's policy.
+
+    The world is built with the cyclic garbage collector paused (its users
+    form no reference cycle, so a pass would free nothing) and frozen into
+    the permanent generation before the pause ends, so no later collection
+    walks it; frozen after the collector resumed, it would be walked once
+    first. The freeze is process-wide: every object alive at that moment
+    is frozen with the world. ``run_scenario`` thaws it when its run ends;
+    ``serve`` keeps it for the life of the server. Reference counting
+    still frees frozen objects; only cyclic garbage among them waits for
+    the thaw.
+    """
+    with gc_paused():
+        world = build_world(cfg, seed)
+        gc.freeze()
+    return ProximityService(world, build_policy(cfg),
                             teleport_limit_m=cfg.teleport_limit_m,
                             teleport_cooldown_s=cfg.teleport_cooldown_s)
 
@@ -128,10 +143,12 @@ def _open_attack(cfg: ScenarioConfig, seed: int,
 def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> RunResult:
     """Run the scenario's attack and write its artifacts into ``out_dir``.
 
-    The run owns the garbage collector freeze that building its worlds
-    makes (``generate_population``): it calls ``gc.unfreeze()`` on the way
-    out, whether it returns or raises, so a sweep or any other caller does
-    not keep one run's frozen garbage into the next.
+    The run thaws the garbage collector freeze that ``build_service`` makes
+    for each of its worlds: it calls ``gc.unfreeze()`` on the way out,
+    whether it returns or raises, so a sweep or any other caller does not
+    keep one run's frozen garbage into the next. The unfreeze is
+    process-wide, so it also thaws whatever was frozen before the run
+    (CPython 3.12 starts with a few hundred frozen objects).
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -222,7 +239,7 @@ def _run_identify(cfg: ScenarioConfig, out: Path) -> dict[str, float]:
     population = SocialGraph(u for u in world.users.values()
                              if u.user_id != ATTACKER_ID)
     initial_likes = set(world.users[ATTACKER_ID].likes)
-    victim_ids = [u.user_id for u in population][:cfg.identify_victims]
+    victim_ids = [u.user_id for u in population.users[:cfg.identify_victims]]
     rows, pool_rows, hits = [], [], 0
     for vid in victim_ids:
         world.users[ATTACKER_ID].likes = set(initial_likes)

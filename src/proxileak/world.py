@@ -80,8 +80,8 @@ def gc_paused():
     """Run the block with the cyclic garbage collector off, then restore
     the collector's prior state. For loops that allocate many acyclic
     objects, which only reference counting frees anyway. A block that
-    ends in ``gc.freeze()`` also keeps what it built out of every later
-    collection (see ``generate_population``)."""
+    ends in a freeze also keeps what it built out of every later
+    collection (see ``runner.build_service``)."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -518,14 +518,6 @@ def generate_population(n: int, catalog_size: int, zipf_s: float, seed: int,
     geometric law with the given mean; likes are drawn without replacement
     from the catalog with rank weight rank**-zipf_s. Each user draws from
     one generator seeded with ``derive_seed(seed, "user", user_id)``.
-
-    The population is built with the cyclic garbage collector paused, and
-    then ``gc.freeze()`` moves it into the permanent generation, so no
-    later collection walks it. The freeze is process-wide: every object
-    alive at that moment is frozen with the population, until
-    ``gc.unfreeze()``, which ``runner.run_scenario`` calls when its run
-    ends. Reference counting still frees frozen objects; only cyclic
-    garbage among them waits for the unfreeze.
     """
     if n < 1:
         raise ValueError("population size must be >= 1")
@@ -540,21 +532,17 @@ def generate_population(n: int, catalog_size: int, zipf_s: float, seed: int,
     head = repr((seed, "user", ""))[:-3]
     # Re-seeding leaves the state a new Random(s) would have.
     rng = random.Random()
-    # Each user's objects form no reference cycle, so collector passes
-    # over the growing population would find nothing to free.
-    with gc_paused():
-        for i in range(n):
-            uid = f"u{i:05d}"
-            rng.seed(_text_seed(f"{head}'{uid}')"))
-            pos = bbox.sample(rng)
-            n_likes = _bounded_geometric(rng, mean_likes, max_likes)
-            users[uid] = SimUser(
-                user_id=uid,
-                first_name=rng.choice(FIRST_NAMES),
-                true_birthdate=date.fromordinal(rng.randint(ord_lo, ord_hi)),
-                trajectory=stationary_trajectory(pos),
-                likes=catalog.sample_likes(n_likes, rng),
-                social_id=f"fb{i:07d}",
-            )
-        gc.freeze()
+    for i in range(n):
+        uid = f"u{i:05d}"
+        rng.seed(_text_seed(f"{head}'{uid}')"))
+        pos = bbox.sample(rng)
+        n_likes = _bounded_geometric(rng, mean_likes, max_likes)
+        users[uid] = SimUser(
+            user_id=uid,
+            first_name=rng.choice(FIRST_NAMES),
+            true_birthdate=date.fromordinal(rng.randint(ord_lo, ord_hi)),
+            trajectory=stationary_trajectory(pos),
+            likes=catalog.sample_likes(n_likes, rng),
+            social_id=f"fb{i:07d}",
+        )
     return World(users=users, catalog=catalog, bbox=bbox, seed=seed)

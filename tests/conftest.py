@@ -54,16 +54,6 @@ def gc_state(request):
     gc.enable() if was_enabled else gc.disable()
 
 
-@pytest.fixture(autouse=True)
-def gc_unfrozen():
-    """Unfreeze the collector after every test: ``generate_population``
-    freezes every object alive in the process, and only ``run_scenario``
-    unfreezes, so a test that builds a world directly would otherwise keep
-    its garbage frozen for the rest of the session."""
-    yield
-    gc.unfreeze()
-
-
 @pytest.fixture(scope="session")
 def compiled(tmp_path_factory):
     """The compiled kernel module, built from the tracked ``_kernels.c``

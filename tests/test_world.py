@@ -3,6 +3,7 @@ import gc
 import math
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +11,16 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from oracles import oracle_population, oracle_sample_likes, times_position_at
+from proxileak import runner
+from proxileak.config import parse_scenario
 from proxileak.geo import EARTH_RADIUS_M, CoordinateError, GeoPoint, haversine_m
 from proxileak.world import (DEFAULT_BBOX, MAX_LIKES_PER_USER, BoundingBox,
                              DisclosurePolicy, POLICY_PRESETS, PageCatalog,
                              Trajectory, commuter_trajectory, fuzz_birthdate,
                              gc_paused, generate_population, quantize_distance,
                              stationary_trajectory)
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 # -- population generation ------------------------------------------------------
@@ -320,15 +325,39 @@ def test_gc_paused_restores_the_prior_state(gc_state):
     assert gc.isenabled() is gc_state
 
 
-def test_build_leaves_the_gc_state_as_found(gc_state):
-    world = generate_population(30, 50, 1.0, seed=2)
+def test_building_a_world_changes_no_gc_state(gc_state):
+    frozen = gc.get_freeze_count()
+    generate_population(30, 50, 1.0, seed=2)
+    runner.build_world(parse_scenario(SCENARIOS / "localize_bcn.cfg",
+                                      {"n_users": "30"}))
     assert gc.isenabled() is gc_state
-    # Frozen: tracked by the collector, but in none of its generations.
-    users = list(world.users.values())
-    assert all(gc.is_tracked(u) for u in users)
-    assert gc.get_freeze_count() >= len(users)
-    ids = {id(u) for u in users}
-    assert not any(id(o) in ids for o in gc.get_objects())
+    assert gc.get_freeze_count() == frozen
+
+
+def test_build_service_freezes_its_world(gc_state):
+    # Enough users to pass the collector's generation-0 threshold.
+    cfg = parse_scenario(SCENARIOS / "localize_bcn.cfg", {"n_users": "1000"})
+    # The freeze comes before the collector resumes, so no collection
+    # walks the world on its way out of the build.
+    collections = []
+
+    def on_collect(phase, info):
+        collections.append(phase)
+
+    gc.callbacks.append(on_collect)
+    try:
+        service = runner.build_service(cfg, cfg.seed)
+        assert collections == []
+        assert gc.isenabled() is gc_state
+        # Frozen: tracked by the collector, but in none of its generations.
+        users = list(service.world.users.values())
+        assert all(gc.is_tracked(u) for u in users)
+        assert gc.get_freeze_count() >= len(users)
+        ids = {id(u) for u in users}
+        assert not any(id(o) in ids for o in gc.get_objects())
+    finally:
+        gc.callbacks.remove(on_collect)
+        gc.unfreeze()
 
 
 def test_world_clock_and_overrides(bcn):
