@@ -60,7 +60,7 @@ class ProbePlan(Frozen):
             raise ValueError("localization plans need at least 3 probes")
         if center is None:
             raise ValueError("ring plans need a center")
-        if ring_radius_m <= 0.0:
+        if not ring_radius_m > 0.0:
             raise ValueError("ring radius must be > 0")
         _set(self, "strategy", strategy)
         _set(self, "count", count)
@@ -203,9 +203,9 @@ class Attacker:
         A fix lost to degenerate solver geometry is recorded as a gap and
         tracking continues; a policy block aborts the whole track.
         """
-        if interval_s <= 0.0:
+        if not interval_s > 0.0:
             raise ValueError("interval_s must be > 0")
-        if duration_s < 0.0:
+        if not duration_s >= 0.0:
             raise ValueError("duration_s must be >= 0")
         record = TrackRecord()
         n_fixes = 1 + int(duration_s // interval_s)
@@ -240,7 +240,7 @@ def extract_pois(track: TrackRecord, radius_m: float,
     Otherwise each fix is checked, so a stay costs time linear in its
     length unless its fixes sit near the radius.
     """
-    if radius_m <= 0.0 or min_dwell_s < 0.0:
+    if not (radius_m > 0.0 and min_dwell_s >= 0.0):
         raise ValueError("radius_m must be > 0 and min_dwell_s >= 0")
     pts = [(t, est.p_hat) for t, est in track.estimates]
     if not pts:

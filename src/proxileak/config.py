@@ -242,7 +242,8 @@ def convert_value(key: str, raw: str, line: int | None = None):
 
 def validate(cfg: ScenarioConfig) -> ScenarioConfig:
     """Check every key's constraint in ``KEYS`` order, then the step count
-    of the track and of the walk; the first failure raises."""
+    of the track and of the walk, then that a commuter's waypoint times
+    increase in floating point; the first failure raises."""
     for name, key in KEYS.items():
         v = getattr(cfg, name)
         try:
@@ -258,6 +259,15 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
         if not steps <= MAX_TRACK_STEPS:
             raise ConfigError(f"track_duration_s / {key} must be <= "
                               f"{MAX_TRACK_STEPS}, got {steps!r}", field=key)
+    if cfg.trajectory == "commuter":
+        t = cfg.dwell_home_s
+        for key in ("travel_s", "dwell_work_s"):
+            v = getattr(cfg, key)
+            if not t + v > t:
+                raise ConfigError(
+                    f"the commuter's waypoint times must increase, but "
+                    f"{t!r} + {v!r} rounds to {t!r}", field=key)
+            t += v
     return cfg
 
 

@@ -69,8 +69,11 @@ class DistanceSample(Frozen):
         if not 0.0 <= quantum_m < math.inf:
             raise ValueError(f"quantum_m must be finite and >= 0: {quantum_m!r}")
         if quantum_m > 0.0:
+            # floor(d / q) * q / q misses its integer by about an ulp of
+            # the step count, so the tolerance scales with the count.
             steps = reported_m / quantum_m
-            if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
+            if (not math.isfinite(steps)
+                    or abs(steps - round(steps)) > 1e-9 * max(1.0, steps)):
                 raise ValueError(
                     f"reported_m {reported_m!r} is not a multiple "
                     f"of quantum_m {quantum_m!r}")

@@ -5,10 +5,10 @@ trace event with privacy-violation categories from a fixed four-category
 taxonomy (collection / processing / dissemination / invasion, each with a
 closed activity vocabulary). ``emit`` ends an attack run: it logs the export
 and writes the violation tables, the labels and their counts per
-(category, activity). The ``write_*`` functions render
-deterministic CSV files and small self-contained SVG plots (fixed 800x600
-canvas, stable element ids).
-Every CSV goes through ``write_csv``, every file through ``_write``.
+(category, activity). The ``write_*`` functions render deterministic CSV
+files and small self-contained SVG plots (fixed 800x600 canvas, stable
+element ids). Every CSV goes through ``write_csv``, every curve plot (axes
+and polylines) through ``_write_curves``, every file through ``_write``.
 """
 
 from __future__ import annotations
@@ -113,15 +113,6 @@ def _svg(elements: list[str]) -> str:
     return head + "\n" + "\n".join(elements) + "\n</svg>\n"
 
 
-def _axes() -> list[str]:
-    x0, y0 = MARGIN, CANVAS_H - MARGIN
-    x1, y1 = CANVAS_W - MARGIN, MARGIN
-    return [
-        f'<line id="axis-x" x1="{x0:.2f}" y1="{y0:.2f}" x2="{x1:.2f}" y2="{y0:.2f}" stroke="black"/>',
-        f'<line id="axis-y" x1="{x0:.2f}" y1="{y0:.2f}" x2="{x0:.2f}" y2="{y1:.2f}" stroke="black"/>',
-    ]
-
-
 class _Scale:
     """Affine data->canvas mapping with equal margins."""
 
@@ -155,6 +146,23 @@ def _write(path: Path, chunks: Iterable[str]) -> Path:
     return path
 
 
+def _write_curves(path: Path, curves: dict[str, list]) -> None:
+    """Axes plus one polyline per entry of ``curves`` (id -> (x, y) points),
+    in order, on one scale fitted over every point; an empty axis spans [0, 1]."""
+    pts = [p for ps in curves.values() for p in ps] or [(0, 0), (1, 1)]
+    sc = _Scale([x for x, _ in pts], [y for _, y in pts])
+    x0, y0, x1, y1 = MARGIN, CANVAS_H - MARGIN, CANVAS_W - MARGIN, MARGIN
+    elements = [
+        f'<line id="axis-x" x1="{x0:.2f}" y1="{y0:.2f}" x2="{x1:.2f}" y2="{y0:.2f}" stroke="black"/>',
+        f'<line id="axis-y" x1="{x0:.2f}" y1="{y0:.2f}" x2="{x0:.2f}" y2="{y1:.2f}" stroke="black"/>',
+    ]
+    for element_id, ps in curves.items():
+        coords = " ".join(f"{sc.x(x):.2f},{sc.y(y):.2f}" for x, y in ps)
+        elements.append(f'<polyline id="{element_id}" points="{coords}" '
+                        f'fill="none" stroke="black"/>')
+    _write(path, (_svg(elements),))
+
+
 def write_csv(path: Path, header: Sequence[str],
               rows: Iterable[Sequence]) -> Path:
     """The header, then one comma-joined line per row, written as the rows
@@ -170,19 +178,11 @@ def write_runtime_grid(rows: list[tuple[int, int, float]], out_dir: Path) -> Non
     write_csv(out_dir / "runtime_grid.csv", ("samples", "iterations", "seconds"),
               ((n, it, float(sec)) for n, it, sec in rows))
 
-    by_samples: dict[int, list[tuple[int, float]]] = {}
-    for n, it, sec in rows:
-        by_samples.setdefault(n, []).append((it, sec))
-    all_it = [math.log10(it) for _, it, _ in rows]
-    all_sec = [math.log10(max(sec, 1e-9)) for _, _, sec in rows]
-    sc = _Scale(all_it, all_sec)
-    elements = _axes()
-    for n in sorted(by_samples):
-        pts = " ".join(f"{sc.x(math.log10(it)):.2f},{sc.y(math.log10(max(sec, 1e-9))):.2f}"
-                       for it, sec in sorted(by_samples[n]))
-        elements.append(f'<polyline id="series-s{n}" points="{pts}" '
-                        f'fill="none" stroke="black"/>')
-    _write(out_dir / "runtime_grid.svg", (_svg(elements),))
+    curves: dict[str, list[tuple[float, float]]] = {}
+    for n, it, sec in sorted(rows):
+        curves.setdefault(f"series-s{n}", []).append(
+            (math.log10(it), math.log10(max(sec, 1e-9))))
+    _write_curves(out_dir / "runtime_grid.svg", curves)
 
 
 def write_probe_map(samples: list[DistanceSample], estimate: PositionEstimate,
@@ -223,17 +223,9 @@ def write_pool_curve(pool_rows: list[tuple[str, int, int]], out_dir: Path) -> No
     by_round: dict[int, list[int]] = {}
     for _, rnd, size in pool_rows:
         by_round.setdefault(rnd, []).append(size)
-    medians = []
-    for rnd in sorted(by_round):
-        vals = sorted(by_round[rnd])
-        medians.append((rnd, vals[len(vals) // 2]))
-    sc = _Scale([r for r, _ in medians] or [0, 1],
-                [math.log10(max(m, 1)) for _, m in medians] or [0, 1])
-    pts = " ".join(f"{sc.x(r):.2f},{sc.y(math.log10(max(m, 1))):.2f}"
-                   for r, m in medians)
-    elements = _axes() + [f'<polyline id="pool-curve" points="{pts}" '
-                          f'fill="none" stroke="black"/>']
-    _write(out_dir / "pool_sizes.svg", (_svg(elements),))
+    _write_curves(out_dir / "pool_sizes.svg", {"pool-curve": [
+        (rnd, math.log10(max(sorted(sizes)[len(sizes) // 2], 1)))
+        for rnd, sizes in sorted(by_round.items())]})
 
 
 def write_error_vs_quantum(rows: list[tuple[float, float, float, int]],
@@ -242,11 +234,8 @@ def write_error_vs_quantum(rows: list[tuple[float, float, float, int]],
     rows = sorted(rows)
     write_csv(out_dir / "error_vs_quantum.csv",
               ("quantum_m", "median_error_m", "mean_error_m", "trials"), rows)
-    sc = _Scale([q for q, *_ in rows], [med for _, med, *_ in rows])
-    pts = " ".join(f"{sc.x(q):.2f},{sc.y(med):.2f}" for q, med, *_ in rows)
-    elements = _axes() + [f'<polyline id="error-curve" points="{pts}" '
-                          f'fill="none" stroke="black"/>']
-    _write(out_dir / "error_vs_quantum.svg", (_svg(elements),))
+    _write_curves(out_dir / "error_vs_quantum.svg", {
+        "error-curve": [(q, med) for q, med, *_ in rows]})
 
 
 def emit(out_dir: Path, trace: AttackTrace) -> None:

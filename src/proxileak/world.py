@@ -93,9 +93,9 @@ def gc_paused():
 
 def quantize_distance(true_m: float, quantum_m: float) -> float:
     """Floor ``true_m`` to a multiple of ``quantum_m`` (0 disables)."""
-    if true_m < 0.0:
+    if not true_m >= 0.0:
         raise ValueError(f"distance must be >= 0: {true_m!r}")
-    if quantum_m < 0.0:
+    if not quantum_m >= 0.0:
         raise ValueError(f"quantum must be >= 0: {quantum_m!r}")
     if quantum_m == 0.0:
         return true_m
@@ -378,7 +378,7 @@ class World:
         self._grid: _CellGrid | None = None
 
     def advance(self, dt_s: float) -> float:
-        if dt_s < 0.0:
+        if not dt_s >= 0.0:
             raise ValueError("the clock only moves forward")
         self.now_s += dt_s
         return self.now_s

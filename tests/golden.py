@@ -92,6 +92,16 @@ OVERRIDE_GOLDEN = {
         "trace_labels.csv": "4d8af05085ff5238e0b6393cd767d15bd62d4c63475dabc265bf8396c03fce3b",
         "violations.csv": "2c941062e7c414720181dbdf7e73c1f60c08c6c77c46d38144d7e455481b68fa",
     },
+    # Distances of over 10^7 quantum steps.
+    ("localize_bcn", "distance_quantum_m=0.0001,trials=3"): {
+        "localize_trials.csv": "aec8c82b36838df205671657d8c284e02cc68c31f46a25b49318ca58ff0e1248",
+        "manifest.cfg": "1d3c1b56739c7f647f0ec91f576fc676da17019d79444d2c0a5e713e0e848cde",
+        "probe_map.svg": "16e6e9a915ec8076e881c344f4fa20c2296c1f1042da6dd7763909081821956f",
+        "samples.csv": "48078aee56c692b6c6a73168746eb78462248977a0b2c9f2b17cbb89ecfed9f5",
+        "summary.csv": "b0e09b5205a63865ce7d5ebf3ceaf3d428be9142217c71757b76b40a48a0b1c6",
+        "trace_labels.csv": "4d8af05085ff5238e0b6393cd767d15bd62d4c63475dabc265bf8396c03fce3b",
+        "violations.csv": "2c941062e7c414720181dbdf7e73c1f60c08c6c77c46d38144d7e455481b68fa",
+    },
     ("identify_zipf", "birthdate_mode=exact"): {
         "identification.csv": "403cf4d0f3a3297491c78b1d9d8cf5c6d043b86e1994b707159141eee79e6d79",
         "manifest.cfg": "3c61a4b0f90c53a1966ce3568399b5c75c3b4c8f559001c81815e6a9b27d829f",

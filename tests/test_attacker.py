@@ -21,7 +21,7 @@ from proxileak.runner import run_scenario
 from proxileak.service import ProximityService
 from proxileak.world import (DisclosurePolicy, POLICY_PRESETS, SimUser,
                              commuter_trajectory, generate_population,
-                             stationary_trajectory)
+                             quantize_distance, stationary_trajectory)
 
 ATTACKER = "attacker"
 TARGET = "u00000"
@@ -284,6 +284,28 @@ def test_solver_errors_are_not_remembered(bcn, solves):
             with pytest.raises(ValueError):
                 agent._solve(samples, solver())
     assert len(solves) == 4 and agent._solved == {}
+
+
+def _track(bcn, interval_s, duration_s):
+    Attacker(None, None, ref=bcn, advance=None).track(
+        TARGET, interval_s, duration_s, ProbePlan(center=bcn), solver())
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda bcn: generate_population(3, 100, 1.0, seed=6).advance(math.nan),
+     "only moves forward"),
+    (lambda bcn: ProbePlan(center=bcn, ring_radius_m=math.nan), "ring radius"),
+    (lambda bcn: extract_pois(TrackRecord(), math.nan, 0.0), "radius_m"),
+    (lambda bcn: extract_pois(TrackRecord(), 200.0, math.nan), "min_dwell_s"),
+    (lambda bcn: _track(bcn, math.nan, 3600.0), "interval_s"),
+    (lambda bcn: _track(bcn, 600.0, math.nan), "duration_s"),
+    (lambda bcn: quantize_distance(math.nan, 100.0), "distance must be"),
+    (lambda bcn: quantize_distance(100.0, math.nan), "quantum must be"),
+], ids=["advance", "ring_radius", "poi_radius", "poi_dwell", "track_interval",
+        "track_duration", "distance", "quantum"])
+def test_nan_argument_raises_its_documented_error(bcn, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(bcn)
 
 
 # -- POI extraction --------------------------------------------------------------------

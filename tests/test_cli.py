@@ -364,6 +364,39 @@ def test_non_finite_and_off_globe_values_are_config_errors(tmp_path, capsys,
     assert not (tmp_path / "o").exists()
 
 
+def _case(scenario, setting, code, message=None):
+    return pytest.param(scenario, setting, code, message,
+                        id=f"{scenario}-{setting}")
+
+
+@pytest.mark.parametrize("scenario, setting, code, message", [
+    # Distances of over 10^7 quantum steps are still whole multiples.
+    *[_case(scenario, f"distance_quantum_m={q}", EXIT_OK)
+      for scenario in ("localize_bcn", "track_commuter")
+      for q in ("0.0001", "1e-06", "1e-09", "1e-12")],
+    # Commuter timings whose sums round to equal waypoint times.
+    _case("track_commuter", "dwell_home_s=1e300", EXIT_CONFIG,
+          "field 'travel_s'"),
+    _case("track_commuter", "travel_s=1e-300", EXIT_CONFIG, "field 'travel_s'"),
+    _case("track_commuter", "dwell_work_s=1e-300", EXIT_CONFIG,
+          "field 'dwell_work_s'"),
+    # All 16 probes land on one point; a track records such fixes as gaps.
+    _case("localize_bcn", "ring_radius_m=1e-9", EXIT_RUNTIME,
+          "observers are collinear"),
+    _case("localize_bcn", "ring_radius_m=1e-8", EXIT_OK),
+    _case("track_commuter", "ring_radius_m=1e-9", EXIT_OK),
+])
+def test_extreme_valid_values_exit_by_class(tmp_path, capsys, scenario,
+                                            setting, code, message):
+    assert main(["run", str(ROOT / "scenarios" / f"{scenario}.cfg"),
+                 "--out", str(tmp_path / "o"), "--set", "trials=3",
+                 "--set", setting]) == code
+    if message is not None:
+        assert message in capsys.readouterr().err
+    if code == EXIT_CONFIG:
+        assert not (tmp_path / "o").exists()
+
+
 def test_subnormal_quantum_is_config_error_in_files_and_sweeps(tmp_path,
                                                               capsys):
     cfg = write_cfg(tmp_path, FAST_LOCALIZE + "distance_quantum_m = 5e-324\n")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.configuration import storage_directory
 
 from oracles import grid_search_min
-from proxileak.geo import EnuPoint
+from proxileak.geo import EARTH_RADIUS_M, EnuPoint, GeoPoint
 from proxileak.mlat import (SOLVER_NORMS, DegenerateGeometryError,
                             DistanceSample, SolverConfig,
                             UnderdeterminedError, multilaterate,
@@ -191,6 +191,17 @@ def test_sample_validation(bcn):
             (1e308, 1e-300, "reported_m")]:  # reported / quantum overflows
         with pytest.raises(ValueError, match=field):
             DistanceSample(EnuPoint(0, 0, bcn), reported, 0.0, quantum)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(d=st.floats(0.0, math.pi * EARTH_RADIUS_M),
+       # Half the draws from quanta a distance can span 10^7 or more of.
+       exponent=st.one_of(st.floats(-13.0, -3.0), st.floats(-300.0, 4.0)))
+@example(d=1199.26653, exponent=-4.0)  # over 10^7 steps of 0.1 mm
+def test_every_quantized_distance_is_a_valid_sample(d, exponent):
+    quantum = 10.0 ** exponent
+    DistanceSample(EnuPoint(0.0, 0.0, GeoPoint(41.39, 2.17)),
+                   quantize_distance(d, quantum), 0.0, quantum)
 
 
 @pytest.mark.parametrize("field", ["tol_m", "step_init_m"])

@@ -1,3 +1,4 @@
+import hashlib
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -121,6 +122,26 @@ def test_emit_deterministic_and_ids(tmp_path, bcn):
     violations = (out1 / "violations.csv").read_text().splitlines()
     n_vocab = sum(len(a) for a in TAXONOMY.values())
     assert len(violations) == 1 + n_vocab  # full closed vocabulary, zeros kept
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_curve_svgs_are_byte_golden(tmp_path):
+    # No scenario writes runtime_grid.svg, so these rows pin it: three
+    # series, given out of order, with one time of 0.0 and one repeated
+    # iteration count.
+    grid = [(100, 1000, 0.5), (10, 10, 0.0), (1000, 100, 0.25),
+            (10, 1000, 0.03), (100, 10, 0.004), (1000, 10, 0.02),
+            (10, 100, 0.003), (100, 100, 0.04), (1000, 1000, 2.5),
+            (10, 100, 0.002)]
+    write_runtime_grid(grid, tmp_path)
+    write_pool_curve([], tmp_path / "empty")
+    assert _sha256(tmp_path / "runtime_grid.svg") == (
+        "fd16943b2f0c84370c40b1a7875caf8eb531d078b852b53a0d15b611989b143c")
+    assert _sha256(tmp_path / "empty" / "pool_sizes.svg") == (
+        "9c1dd600c573e7591f74cee8ec00f2e57fdd6e0d723ca397ee8f83c439bb2bfd")
 
 
 # (kind, target) steps; a localize_result with no earlier probe of its
